@@ -815,7 +815,7 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
 fn is_external_root(seg: &str) -> bool {
     matches!(
         seg,
-        "std" | "core" | "alloc" | "rand" | "serde" | "serde_json" | "proptest" | "criterion"
+        "std" | "core" | "alloc" | "rand" | "serde" | "proptest"
     )
 }
 

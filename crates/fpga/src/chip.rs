@@ -167,8 +167,7 @@ impl Chip {
     /// The phase's rate multipliers are evaluated once here and shared
     /// across every device on the chip (see `selfheal_bti::td::kernel`).
     pub fn advance(&mut self, mode: RoMode, env: Environment, dt: Seconds) {
-        let mut rates = PhaseRateCache::new();
-        self.ro.advance_cached(mode, env, dt, &mut rates);
+        self.ro.advance(mode, env, dt, &mut PhaseRateCache::new());
     }
 }
 

@@ -281,7 +281,7 @@ impl CutArray {
     pub fn advance(&mut self, mode: RoMode, env: Environment, dt: Seconds) {
         let mut rates = PhaseRateCache::new();
         for (_, ro) in &mut self.cuts {
-            ro.advance_cached(mode, env, dt, &mut rates);
+            ro.advance(mode, env, dt, &mut rates);
         }
     }
 

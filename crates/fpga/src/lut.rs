@@ -27,8 +27,8 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
-use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_units::{DutyCycle, Millivolts, Nanoseconds, Seconds, Volts};
+use selfheal_bti::Environment;
+use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
 
 use crate::family::Family;
 use crate::transistor::{Polarity, Transistor};
@@ -42,6 +42,8 @@ const M5: usize = 4;
 const M6: usize = 5;
 const M7: usize = 6;
 const M8: usize = 7;
+/// Number of devices in a LUT.
+const DEVICES: usize = 8;
 
 /// The four configuration bits of a 2-input LUT, indexed by
 /// `(In1 << 1) | In0`.
@@ -180,39 +182,32 @@ impl Lut {
     }
 
     /// Device indices statically stressed while the inputs are held at
-    /// `(in0, in1)` — the DC stress set of Hypothesis 1.
+    /// `(in0, in1)` — the DC stress set of Hypothesis 1, in index order.
     #[must_use]
     pub fn stressed_indices(&self, in0: bool, in1: bool) -> Vec<usize> {
-        let mut stressed = Vec::new();
+        let mask = self.stress_mask(in0, in1);
+        (0..DEVICES).filter(|&i| mask[i]).collect()
+    }
+
+    /// Which devices are stressed while the inputs are held at
+    /// `(in0, in1)`, indexed like [`Self::devices`].
+    fn stress_mask(&self, in0: bool, in1: bool) -> [bool; DEVICES] {
         let c = &self.config;
+        let mut stressed = [false; DEVICES];
         // Level-1 pass devices: stressed when gate high and passing a 0.
-        let level1 = [
-            (M1, in0, c.bit(0b11)),
-            (M2, !in0, c.bit(0b10)),
-            (M3, in0, c.bit(0b01)),
-            (M4, !in0, c.bit(0b00)),
-        ];
-        for (idx, gate, value) in level1 {
-            if gate && !value {
-                stressed.push(idx);
-            }
-        }
+        stressed[M1] = in0 && !c.bit(0b11);
+        stressed[M2] = !in0 && !c.bit(0b10);
+        stressed[M3] = in0 && !c.bit(0b01);
+        stressed[M4] = !in0 && !c.bit(0b00);
         // Level-2 pass devices pass their branch's selected value.
         let branch_a = if in0 { c.bit(0b11) } else { c.bit(0b10) };
         let branch_b = if in0 { c.bit(0b01) } else { c.bit(0b00) };
-        if in1 && !branch_a {
-            stressed.push(M5);
-        }
-        if !in1 && !branch_b {
-            stressed.push(M6);
-        }
+        stressed[M5] = in1 && !branch_a;
+        stressed[M6] = !in1 && !branch_b;
         // Buffer: NMOS stressed on a high internal node, PMOS on a low one.
         let internal = self.evaluate(in0, in1);
-        if internal {
-            stressed.push(M7);
-        } else {
-            stressed.push(M8);
-        }
+        stressed[M7] = internal;
+        stressed[M8] = !internal;
         stressed
     }
 
@@ -233,83 +228,26 @@ impl Lut {
         (self.path_delay(vdd, false, in1) + self.path_delay(vdd, true, in1)) / 2.0
     }
 
-    /// Ages the LUT with inputs held statically at `(in0, in1)` — DC
-    /// stress. Stressed devices see full DC stress; the rest passively
-    /// recover at the same environment.
-    pub fn advance_static(
+    /// Ages the LUT for `dt` while it visits each input pair in `visited`
+    /// for an equal share of the time: one pair is DC stress, the two
+    /// `In0` levels are toggling (AC) stress, and none is sleep. Each
+    /// device's stress duty is the share of visited pairs in which it is
+    /// statically stressed; the rest of the time it recovers at `env`.
+    pub fn advance(
         &mut self,
-        in0: bool,
-        in1: bool,
-        env: Environment,
-        dt: Seconds,
-    ) {
-        self.advance_static_cached(in0, in1, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache, so a whole-chip advance evaluates each condition's
-    /// rate multipliers once rather than once per LUT.
-    pub fn advance_static_cached(
-        &mut self,
-        in0: bool,
-        in1: bool,
+        visited: &[(bool, bool)],
         env: Environment,
         dt: Seconds,
         rates: &mut PhaseRateCache,
     ) {
-        let stressed = self.stressed_indices(in0, in1);
-        for (idx, device) in self.devices.iter_mut().enumerate() {
-            let cond = if stressed.contains(&idx) {
-                DeviceCondition::dc_stress(env)
-            } else {
-                DeviceCondition::recovery(env)
-            };
-            device.advance_with_rates(&rates.rates(cond), dt);
+        let mut stressed = [0; DEVICES];
+        for &(in0, in1) in visited {
+            for (count, hit) in stressed.iter_mut().zip(self.stress_mask(in0, in1)) {
+                *count += usize::from(hit);
+            }
         }
-    }
-
-    /// Ages the LUT while `In0` toggles (AC stress): each device's stress
-    /// duty is the fraction of the two `In0` states in which it is
-    /// statically stressed.
-    pub fn advance_toggling(&mut self, in1: bool, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(in1, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache across LUTs.
-    pub fn advance_toggling_cached(
-        &mut self,
-        in1: bool,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        let low = self.stressed_indices(false, in1);
-        let high = self.stressed_indices(true, in1);
-        for (idx, device) in self.devices.iter_mut().enumerate() {
-            let count = u8::from(low.contains(&idx)) + u8::from(high.contains(&idx));
-            let duty = DutyCycle::new(f64::from(count) / 2.0);
-            device.advance_with_rates(&rates.rates(DeviceCondition::new(env, duty)), dt);
-        }
-    }
-
-    /// Ages the LUT during sleep: no device is stressed; all recover under
-    /// the (possibly negative-voltage, possibly heated) sleep environment.
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache across LUTs.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        let recovery = rates.rates(DeviceCondition::recovery(env));
-        for device in &mut self.devices {
-            device.advance_with_rates(&recovery, dt);
+        for (device, count) in self.devices.iter_mut().zip(stressed) {
+            device.advance_share(count, visited.len(), env, dt, rates);
         }
     }
 }
@@ -327,8 +265,16 @@ mod tests {
         Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng)
     }
 
-    fn hot_stress() -> Environment {
-        Environment::new(Volts::new(1.2), Celsius::new(110.0))
+    /// 24 h at the hot stress corner, visiting `inputs`.
+    fn stress_day(lut: &mut Lut, inputs: &[(bool, bool)]) {
+        let hot = Environment::new(Volts::new(1.2), Celsius::new(110.0));
+        lut.advance(inputs, hot, Hours::new(24.0).into(), &mut PhaseRateCache::new());
+    }
+
+    /// 6 h of accelerated sleep at −0.3 V and 110 °C.
+    fn heal(lut: &mut Lut) {
+        let sleep = Environment::new(Volts::new(-0.3), Celsius::new(110.0));
+        lut.advance(&[], sleep, Hours::new(6.0).into(), &mut PhaseRateCache::new());
     }
 
     #[test]
@@ -361,7 +307,7 @@ mod tests {
         // The stress set depends only on the inputs, not on elapsed time.
         let mut lut = fresh_inverter();
         let before = lut.stressed_indices(true, true);
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        stress_day(&mut lut, &[(true, true)]);
         let after = lut.stressed_indices(true, true);
         assert_eq!(before, after);
     }
@@ -369,14 +315,11 @@ mod tests {
     #[test]
     fn hypothesis_2_recovery_only_affects_stressed_devices() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        stress_day(&mut lut, &[(true, true)]);
         let aged: Vec<bool> = lut.devices().iter().map(Transistor::is_aged).collect();
 
         // Deep rejuvenation:
-        lut.advance_sleep(
-            Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
-            Hours::new(6.0).into(),
-        );
+        heal(&mut lut);
         for (device, was_aged) in lut.devices().iter().zip(aged) {
             if !was_aged {
                 assert!(
@@ -410,7 +353,7 @@ mod tests {
     #[test]
     fn dc_stress_slows_the_stressed_path_more() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        stress_day(&mut lut, &[(true, true)]);
         let stressed_path = lut.path_delay(Volts::new(1.2), true, true);
         let other_path = lut.path_delay(Volts::new(1.2), false, true);
         // Both paths share the aged M5/M8, but the stressed path also has
@@ -439,8 +382,8 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ac = Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng);
 
-        dc.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
-        ac.advance_toggling(true, hot_stress(), Hours::new(24.0).into());
+        stress_day(&mut dc, &[(true, true)]);
+        stress_day(&mut ac, &[(false, true), (true, true)]);
 
         let vdd = Volts::new(1.2);
         let dc_shift = dc.switching_delay(vdd, true).get() - 0.55;
@@ -452,13 +395,10 @@ mod tests {
     #[test]
     fn sleep_heals_a_stressed_lut() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        stress_day(&mut lut, &[(true, true)]);
         let vdd = Volts::new(1.2);
         let aged = lut.switching_delay(vdd, true);
-        lut.advance_sleep(
-            Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
-            Hours::new(6.0).into(),
-        );
+        heal(&mut lut);
         let healed = lut.switching_delay(vdd, true);
         assert!(healed < aged);
         assert!(healed.get() > 0.55, "partial recovery only");

@@ -9,6 +9,7 @@ use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
 
 use crate::family::Family;
 use crate::lut::{Lut, LutConfig};
+use crate::ring_oscillator::RoMode;
 use crate::routing::RoutingBlock;
 
 /// One inverter stage: a LUT plus its downstream routing block.
@@ -130,64 +131,31 @@ impl InverterChain {
         self.path_delay(self.vdd_nominal) - self.fresh_delay
     }
 
-    /// Ages the chain with the loop parked (DC stress).
-    pub fn advance_static(&mut self, env: Environment, dt: Seconds) {
-        self.advance_static_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache — chip- and fabric-level loops pass one cache so the
-    /// whole advance evaluates each condition's multipliers once.
-    pub fn advance_static_cached(
+    /// Ages the chain for `dt` in `mode`. Every LUT has `In1` tied high;
+    /// oscillating, it visits both `In0` levels (AC stress); static, it
+    /// holds its [`Self::static_input`] level (DC stress); asleep, it
+    /// visits none. Each routing net carries its LUT's output for every
+    /// input the LUT visits.
+    pub fn advance(
         &mut self,
+        mode: RoMode,
         env: Environment,
         dt: Seconds,
         rates: &mut PhaseRateCache,
     ) {
         for (i, stage) in self.stages.iter_mut().enumerate() {
-            let in0 = Self::static_input(i);
-            stage.lut.advance_static_cached(in0, true, env, dt, rates);
-            // The routing net parks at the LUT's output level.
-            let out = stage.lut.evaluate(in0, true);
-            stage.routing.advance_static_cached(out, env, dt, rates);
-        }
-    }
-
-    /// Ages the chain while it oscillates (AC stress).
-    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache.
-    pub fn advance_toggling_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        for stage in &mut self.stages {
-            stage.lut.advance_toggling_cached(true, env, dt, rates);
-            stage.routing.advance_toggling_cached(env, dt, rates);
-        }
-    }
-
-    /// Ages the chain during sleep (no stress anywhere).
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        for stage in &mut self.stages {
-            stage.lut.advance_sleep_cached(env, dt, rates);
-            stage.routing.advance_sleep_cached(env, dt, rates);
+            let parked = [(Self::static_input(i), true)];
+            let inputs: &[(bool, bool)] = match mode {
+                RoMode::Oscillating => &[(false, true), (true, true)],
+                RoMode::Static => &parked,
+                RoMode::Sleep => &[],
+            };
+            let nets: Vec<bool> = inputs
+                .iter()
+                .map(|&(in0, in1)| stage.lut.evaluate(in0, in1))
+                .collect();
+            stage.lut.advance(inputs, env, dt, rates);
+            stage.routing.advance(&nets, env, dt, rates);
         }
     }
 }
@@ -205,8 +173,10 @@ mod tests {
         InverterChain::sample(n, &family, Millivolts::new(0.0), &mut rng)
     }
 
-    fn hot() -> Environment {
-        Environment::new(Volts::new(1.2), Celsius::new(110.0))
+    /// Ages `c` in `mode` at the hot stress corner for `hours`.
+    fn stress(c: &mut InverterChain, mode: RoMode, hours: f64) {
+        let hot = Environment::new(Volts::new(1.2), Celsius::new(110.0));
+        c.advance(mode, hot, Hours::new(hours).into(), &mut PhaseRateCache::new());
     }
 
     #[test]
@@ -243,7 +213,7 @@ mod tests {
     #[test]
     fn dc_stress_shifts_delay_about_two_percent() {
         let mut c = chain(75);
-        c.advance_static(hot(), Hours::new(24.0).into());
+        stress(&mut c, RoMode::Static, 24.0);
         let rel = c.delay_shift().get() / c.fresh_delay().get();
         assert!(rel > 0.012 && rel < 0.04, "relative shift = {rel}");
     }
@@ -251,9 +221,9 @@ mod tests {
     #[test]
     fn ac_path_shift_is_about_half_of_dc() {
         let mut dc = chain(75);
-        dc.advance_static(hot(), Hours::new(24.0).into());
+        stress(&mut dc, RoMode::Static, 24.0);
         let mut ac = chain(75);
-        ac.advance_toggling(hot(), Hours::new(24.0).into());
+        stress(&mut ac, RoMode::Oscillating, 24.0);
         let ratio = ac.delay_shift().get() / dc.delay_shift().get();
         assert!(ratio > 0.35 && ratio < 0.7, "AC/DC path ratio = {ratio}");
     }
@@ -261,11 +231,13 @@ mod tests {
     #[test]
     fn sleep_recovers_most_of_the_shift() {
         let mut c = chain(75);
-        c.advance_static(hot(), Hours::new(24.0).into());
+        stress(&mut c, RoMode::Static, 24.0);
         let aged = c.delay_shift().get();
-        c.advance_sleep(
+        c.advance(
+            RoMode::Sleep,
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         let healed = c.delay_shift().get();
         let recovered = (aged - healed) / aged;
@@ -277,7 +249,7 @@ mod tests {
         let mut c = chain(0);
         assert!(c.is_empty());
         assert_eq!(c.path_delay(Volts::new(1.2)), Nanoseconds::ZERO);
-        c.advance_static(hot(), Hours::new(1.0).into());
+        stress(&mut c, RoMode::Static, 1.0);
         assert_eq!(c.delay_shift(), Nanoseconds::ZERO);
     }
 }

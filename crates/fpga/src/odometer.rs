@@ -11,6 +11,7 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_units::{Fraction, Millivolts, Seconds, Volts};
 
@@ -66,14 +67,16 @@ impl Odometer {
 
     /// Ages the sensor along with the fabric: the witness sees the
     /// fabric's mode and environment; the reference stays gated (it only
-    /// wakes for measurements, whose duration is negligible).
+    /// wakes for measurements, whose duration is negligible). Both
+    /// oscillators share one rate cache per call.
     pub fn advance(&mut self, mode: RoMode, env: Environment, dt: Seconds) {
-        self.witness.advance(mode, env, dt);
+        let mut rates = PhaseRateCache::new();
+        self.witness.advance(mode, env, dt, &mut rates);
         // The reference is power-gated at the same temperature: it takes
         // no stress and barely moves (residual passive recovery of an
         // unstressed oscillator is a no-op).
         self.reference
-            .advance(RoMode::Sleep, env.with_supply(Volts::ZERO), dt);
+            .advance(RoMode::Sleep, env.with_supply(Volts::ZERO), dt, &mut rates);
     }
 
     /// The fractional beat `(f_ref − f_wit) / f_ref`: ≈ 0 when fresh,

@@ -94,15 +94,7 @@ impl RingOscillator {
     /// A gated or negative supply physically cannot keep the loop toggling
     /// or parked at CMOS levels, so any mode combined with `supply ≤ 0 V`
     /// behaves as [`RoMode::Sleep`].
-    pub fn advance(&mut self, mode: RoMode, env: Environment, dt: Seconds) {
-        self.advance_cached(mode, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance`](Self::advance) sharing a caller-owned rate cache —
-    /// fabric-wide loops advance every oscillator under one cache so the
-    /// per-condition rate multipliers are evaluated once for the whole
-    /// array.
-    pub fn advance_cached(
+    pub fn advance(
         &mut self,
         mode: RoMode,
         env: Environment,
@@ -114,11 +106,7 @@ impl RingOscillator {
         } else {
             mode
         };
-        match effective {
-            RoMode::Oscillating => self.chain.advance_toggling_cached(env, dt, rates),
-            RoMode::Static => self.chain.advance_static_cached(env, dt, rates),
-            RoMode::Sleep => self.chain.advance_sleep_cached(env, dt, rates),
-        }
+        self.chain.advance(effective, env, dt, rates);
     }
 }
 
@@ -139,6 +127,11 @@ mod tests {
         Environment::new(Volts::new(1.2), Celsius::new(110.0))
     }
 
+    /// Ages `ro` in `mode` at `env` for `hours`.
+    fn age(ro: &mut RingOscillator, mode: RoMode, env: Environment, hours: f64) {
+        ro.advance(mode, env, Hours::new(hours).into(), &mut PhaseRateCache::new());
+    }
+
     #[test]
     fn fresh_frequency_matches_budget() {
         let ro = ro();
@@ -152,7 +145,7 @@ mod tests {
     fn dc_stress_degrades_frequency() {
         let mut ro = ro();
         let fresh = ro.frequency(Volts::new(1.2));
-        ro.advance(RoMode::Static, hot(), Hours::new(24.0).into());
+        age(&mut ro, RoMode::Static, hot(), 24.0);
         let aged = ro.frequency(Volts::new(1.2));
         let deg = aged.degradation_from(fresh);
         assert!(deg > 0.012 && deg < 0.04, "degradation = {deg}");
@@ -164,8 +157,8 @@ mod tests {
         let mut ac = ro();
         let vdd = Volts::new(1.2);
         let fresh = dc.frequency(vdd);
-        dc.advance(RoMode::Static, hot(), Hours::new(24.0).into());
-        ac.advance(RoMode::Oscillating, hot(), Hours::new(24.0).into());
+        age(&mut dc, RoMode::Static, hot(), 24.0);
+        age(&mut ac, RoMode::Oscillating, hot(), 24.0);
         let r = ac.frequency(vdd).degradation_from(fresh) / dc.frequency(vdd).degradation_from(fresh);
         assert!(r > 0.35 && r < 0.7, "AC/DC = {r}");
     }
@@ -177,8 +170,8 @@ mod tests {
         let heal = Environment::new(Volts::new(-0.3), Celsius::new(110.0));
         // Stressing "in static mode" at a negative supply must behave like
         // sleep: identical to an explicit sleep call.
-        a.advance(RoMode::Static, heal, Hours::new(6.0).into());
-        b.advance(RoMode::Sleep, heal, Hours::new(6.0).into());
+        age(&mut a, RoMode::Static, heal, 6.0);
+        age(&mut b, RoMode::Sleep, heal, 6.0);
         assert_eq!(a, b);
     }
 
@@ -187,12 +180,13 @@ mod tests {
         let mut ro = ro();
         let vdd = Volts::new(1.2);
         let fresh = ro.frequency(vdd);
-        ro.advance(RoMode::Static, hot(), Hours::new(24.0).into());
+        age(&mut ro, RoMode::Static, hot(), 24.0);
         let aged = ro.frequency(vdd);
-        ro.advance(
+        age(
+            &mut ro,
             RoMode::Sleep,
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
-            Hours::new(6.0).into(),
+            6.0,
         );
         let healed = ro.frequency(vdd);
         assert!(healed > aged, "healing speeds the RO back up");

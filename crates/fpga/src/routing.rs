@@ -10,7 +10,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
-use selfheal_bti::{DeviceCondition, Environment};
+use selfheal_bti::Environment;
 use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
 
 use crate::family::Family;
@@ -67,67 +67,23 @@ impl RoutingBlock {
         self.devices.iter().map(|d| d.delay(vdd)).sum()
     }
 
-    /// Ages the block with its input parked at `value` (DC stress).
-    pub fn advance_static(&mut self, value: bool, env: Environment, dt: Seconds) {
-        self.advance_static_cached(value, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache across routing blocks.
-    pub fn advance_static_cached(
+    /// Ages the block for `dt` while its net visits each level in
+    /// `visited` for an equal share of the time: one level is DC stress,
+    /// both are toggling (AC) stress, and none is sleep. Each device's
+    /// stress duty is the share of visited levels that stress it.
+    pub fn advance(
         &mut self,
-        value: bool,
+        visited: &[bool],
         env: Environment,
         dt: Seconds,
         rates: &mut PhaseRateCache,
     ) {
-        let stressed = self.stressed_index(value);
-        for (idx, device) in self.devices.iter_mut().enumerate() {
-            let cond = if idx == stressed {
-                DeviceCondition::dc_stress(env)
-            } else {
-                DeviceCondition::recovery(env)
-            };
-            device.advance_with_rates(&rates.rates(cond), dt);
+        let mut stressed = [0; 2];
+        for &value in visited {
+            stressed[self.stressed_index(value)] += 1;
         }
-    }
-
-    /// Ages the block while its input toggles (AC stress): both devices at
-    /// 50 % duty.
-    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache across routing blocks.
-    pub fn advance_toggling_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        let ac = rates.rates(DeviceCondition::ac_stress(env));
-        for device in &mut self.devices {
-            device.advance_with_rates(&ac, dt);
-        }
-    }
-
-    /// Ages the block during sleep: both devices recover.
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache across routing blocks.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
-        let recovery = rates.rates(DeviceCondition::recovery(env));
-        for device in &mut self.devices {
-            device.advance_with_rates(&recovery, dt);
+        for (device, count) in self.devices.iter_mut().zip(stressed) {
+            device.advance_share(count, visited.len(), env, dt, rates);
         }
     }
 }
@@ -145,8 +101,10 @@ mod tests {
         RoutingBlock::sample(&family, Millivolts::new(0.0), &mut rng)
     }
 
-    fn hot() -> Environment {
-        Environment::new(Volts::new(1.2), Celsius::new(110.0))
+    /// 24 h at the hot stress corner, the net visiting `levels`.
+    fn stress_day(block: &mut RoutingBlock, levels: &[bool]) {
+        let hot = Environment::new(Volts::new(1.2), Celsius::new(110.0));
+        block.advance(levels, hot, Hours::new(24.0).into(), &mut PhaseRateCache::new());
     }
 
     #[test]
@@ -165,7 +123,7 @@ mod tests {
     #[test]
     fn static_stress_only_ages_one_device() {
         let mut block = fresh_block();
-        block.advance_static(true, hot(), Hours::new(24.0).into());
+        stress_day(&mut block, &[true]);
         assert!(block.devices()[0].is_aged());
         assert!(!block.devices()[1].is_aged());
     }
@@ -173,9 +131,9 @@ mod tests {
     #[test]
     fn toggling_ages_both_but_less() {
         let mut parked = fresh_block();
-        parked.advance_static(true, hot(), Hours::new(24.0).into());
+        stress_day(&mut parked, &[true]);
         let mut toggling = fresh_block();
-        toggling.advance_toggling(hot(), Hours::new(24.0).into());
+        stress_day(&mut toggling, &[false, true]);
 
         assert!(toggling.devices()[0].is_aged());
         assert!(toggling.devices()[1].is_aged());
@@ -188,11 +146,13 @@ mod tests {
     #[test]
     fn sleep_recovers_delay() {
         let mut block = fresh_block();
-        block.advance_static(false, hot(), Hours::new(24.0).into());
+        stress_day(&mut block, &[false]);
         let aged = block.delay(Volts::new(1.2));
-        block.advance_sleep(
+        block.advance(
+            &[],
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         assert!(block.delay(Volts::new(1.2)) < aged);
     }

@@ -3,9 +3,9 @@
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use selfheal_bti::td::{PhaseRates, TrapEnsemble, TrapEnsembleParams};
-use selfheal_bti::DeviceCondition;
-use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
+use selfheal_bti::td::{PhaseRateCache, TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::{DeviceCondition, Environment};
+use selfheal_units::{DutyCycle, Millivolts, Nanoseconds, Seconds, Volts};
 
 use crate::delay::device_delay;
 
@@ -135,11 +135,28 @@ impl Transistor {
         self.aging.advance(cond, dt);
     }
 
-    /// [`advance`](Self::advance) with the condition's rate multipliers
-    /// already evaluated — chip-level advance loops hoist the
-    /// transcendental work once per condition and fan it out here.
-    pub fn advance_with_rates(&mut self, rates: &PhaseRates, dt: Seconds) {
-        self.aging.advance_with_rates(rates, dt);
+    /// Ages the device by `dt` under the duty rule every FPGA element
+    /// follows: the element visits each of `visited` inputs for an equal
+    /// share of the interval, and the device is stressed in `stressed` of
+    /// them. One input is DC stress, two are toggling (AC) stress, and
+    /// none is sleep, where the duty is 0. Chip-level advance loops share
+    /// `rates`, so each distinct condition's multipliers are evaluated
+    /// once rather than once per device.
+    pub(crate) fn advance_share(
+        &mut self,
+        stressed: usize,
+        visited: usize,
+        env: Environment,
+        dt: Seconds,
+        rates: &mut PhaseRateCache,
+    ) {
+        let duty = if visited == 0 {
+            0.0
+        } else {
+            stressed as f64 / visited as f64
+        };
+        let cond = DeviceCondition::new(env, DutyCycle::new(duty));
+        self.aging.advance_with_rates(&rates.rates(cond), dt);
     }
 
     /// Immutable view of the trap population (for diagnostics).

@@ -1,10 +1,10 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The workspace builds fully offline; the vendored `serde`/`serde_json`
-//! stand-ins are no-op stubs, so the telemetry layer carries its own tiny
-//! JSON implementation. It covers exactly what sinks and manifests need:
-//! objects with string keys, arrays, finite numbers, strings, booleans and
-//! null. Non-finite numbers serialize as `null` (JSON has no NaN), which a
+//! The workspace builds fully offline with no `serde_json`, and the
+//! vendored `serde` stand-in generates no code, so this module is the
+//! workspace's one JSON codec. It covers exactly what sinks and manifests
+//! need: objects with string keys, arrays, finite numbers, strings,
+//! booleans and null. Non-finite numbers serialize as `null` (JSON has no NaN), which a
 //! manifest diff surfaces as an anomaly instead of a parse error.
 
 use std::collections::BTreeMap;

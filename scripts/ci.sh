@@ -11,6 +11,8 @@
 # on quiet hardware.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "== cargo build --release" >&2
 # --workspace matters: the root Cargo.toml is both workspace root and a
@@ -24,6 +26,18 @@ echo "== cargo test" >&2
 # per-crate tests (fleet resume/protocol, analyzer fixtures, ...) live
 # in their own crates and must run too.
 cargo test -q --workspace
+
+echo "== physics golden (all_experiments)" >&2
+# The physics oracle: an uncached all_experiments run must reproduce the
+# committed manifest at zero tolerance. Three keys vary between
+# identical runs and are skipped: the two f64 trap counters are summed
+# in pool-completion order, and the pool gauges follow scheduling.
+SELFHEAL_CACHE=off target/release/all_experiments --json > "$SMOKE_DIR/all_experiments.json"
+target/release/manifest_diff tests/golden/all_experiments.json \
+    "$SMOKE_DIR/all_experiments.json" --tolerance 0 \
+    --ignore metrics.bti.td.trap_captures \
+    --ignore metrics.bti.td.trap_emissions \
+    --ignore metrics.runtime.pool
 
 echo "== cargo analyzer check" >&2
 # Includes the workspace dataflow pass: any deterministic root reaching
@@ -50,8 +64,6 @@ echo "== telemetry sampler smoke" >&2
 # status file must parse as valid text exposition (selfheal-top --check
 # embeds the in-tree parser) and the time-series JSONL must carry
 # strictly monotone sample timestamps.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 SELFHEAL_TELEMETRY="timeseries:$SMOKE_DIR/series.jsonl" \
 SELFHEAL_TELEMETRY_SAMPLE=20ms \
     target/release/telemetry_sampler --json --status "$SMOKE_DIR/status.prom" \

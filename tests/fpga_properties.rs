@@ -1,13 +1,14 @@
-//! Property-based tests of the FPGA substrate: the stress rule, the two
-//! §3.2 hypotheses for *arbitrary* LUT configurations, and the
-//! measurement pipeline.
+//! Property-based tests of the FPGA substrate: the stress rule, the duty
+//! rule every element ages by, the two §3.2 hypotheses for *arbitrary*
+//! LUT configurations, and the measurement pipeline.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfheal_bti::Environment;
-use selfheal_fpga::{Chip, ChipId, Family, Lut, LutConfig, RoMode};
-use selfheal_units::{Celsius, Hours, Millivolts, Seconds, Volts};
+use selfheal_bti::td::PhaseRateCache;
+use selfheal_bti::{DeviceCondition, Environment};
+use selfheal_fpga::{Chip, ChipId, Family, Lut, LutConfig, RoMode, RoutingBlock, Transistor};
+use selfheal_units::{Celsius, DutyCycle, Hours, Millivolts, Seconds, Volts};
 
 fn arb_config() -> impl Strategy<Value = LutConfig> {
     any::<[bool; 4]>().prop_map(LutConfig::new)
@@ -21,6 +22,47 @@ fn lut_with(config: LutConfig, seed: u64) -> Lut {
 
 fn hot() -> Environment {
     Environment::new(Volts::new(1.2), Celsius::new(110.0))
+}
+
+/// Stress (positive supply) or sleep (gated or negative supply)
+/// environments across the chamber's temperature range.
+fn arb_env() -> impl Strategy<Value = Environment> {
+    let env = |(v, t): (f64, f64)| Environment::new(Volts::new(v), Celsius::new(t));
+    prop_oneof![
+        (1.0f64..1.3, 20.0f64..125.0).prop_map(env),
+        (-0.3f64..=0.0, 20.0f64..125.0).prop_map(env),
+    ]
+}
+
+/// The duty rule, written out independently of the crate: an element
+/// visits each input for an equal share of the time, and a device's duty
+/// is the share of visited inputs that stress it (0 when none are).
+fn share(stressed: usize, visited: usize) -> DutyCycle {
+    if visited == 0 {
+        DutyCycle::new(0.0)
+    } else {
+        DutyCycle::new(stressed as f64 / visited as f64)
+    }
+}
+
+/// Clones of `devices`, each advanced alone under `env` at the duty
+/// `stressed(idx)` / `visited` gives it.
+fn advanced_alone(
+    devices: &[Transistor],
+    stressed: impl Fn(usize) -> usize,
+    visited: usize,
+    env: Environment,
+    dt: Seconds,
+) -> Vec<Transistor> {
+    devices
+        .iter()
+        .enumerate()
+        .map(|(idx, device)| {
+            let mut device = device.clone();
+            device.advance(DeviceCondition::new(env, share(stressed(idx), visited)), dt);
+            device
+        })
+        .collect()
 }
 
 proptest! {
@@ -75,11 +117,13 @@ proptest! {
     fn hypothesis_2_fresh_devices_stay_fresh(config in arb_config(), in0: bool, in1: bool, sleep_h in 1.0f64..50.0) {
         // Recovery "has no effect on 'fresh' (never aged) transistors".
         let mut lut = lut_with(config, 5);
-        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into());
+        lut.advance(&[(in0, in1)], hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let aged_before: Vec<bool> = lut.devices().iter().map(|d| d.is_aged()).collect();
-        lut.advance_sleep(
+        lut.advance(
+            &[],
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Seconds::new(sleep_h * 3600.0),
+            &mut PhaseRateCache::new(),
         );
         for (device, was_aged) in lut.devices().iter().zip(aged_before) {
             if !was_aged {
@@ -94,9 +138,49 @@ proptest! {
         let vdd = Volts::new(1.2);
         let fresh = lut.path_delay(vdd, in0, in1);
         prop_assert!(fresh.get() > 0.0);
-        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into());
+        lut.advance(&[(in0, in1)], hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let aged = lut.path_delay(vdd, in0, in1);
         prop_assert!(aged >= fresh, "stress can only slow a path");
+    }
+
+    #[test]
+    fn lut_advance_follows_the_duty_rule(
+        config in arb_config(),
+        visited in collection::vec((any::<bool>(), any::<bool>()), 0..3),
+        env in arb_env(),
+        hours in 0.1f64..48.0,
+    ) {
+        let mut lut = lut_with(config, 8);
+        let dt = Seconds::new(hours * 3600.0);
+        let stressed = |idx: usize| {
+            visited
+                .iter()
+                .filter(|&&(in0, in1)| lut.stressed_indices(in0, in1).contains(&idx))
+                .count()
+        };
+        let expected = advanced_alone(lut.devices(), stressed, visited.len(), env, dt);
+        lut.advance(&visited, env, dt, &mut PhaseRateCache::new());
+        // Debug output round-trips every f64 bit, so this is bitwise.
+        prop_assert_eq!(format!("{:?}", lut.devices()), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn routing_advance_follows_the_duty_rule(
+        seed in 0u64..10_000,
+        visited in collection::vec(any::<bool>(), 0..3),
+        env in arb_env(),
+        hours in 0.1f64..48.0,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let family = Family::commercial_40nm();
+        let mut block = RoutingBlock::sample(&family, Millivolts::new(0.0), &mut rng);
+        let dt = Seconds::new(hours * 3600.0);
+        let stressed = |idx: usize| {
+            visited.iter().filter(|&&value| block.stressed_index(value) == idx).count()
+        };
+        let expected = advanced_alone(block.devices(), stressed, visited.len(), env, dt);
+        block.advance(&visited, env, dt, &mut PhaseRateCache::new());
+        prop_assert_eq!(format!("{:?}", block.devices()), format!("{expected:?}"));
     }
 
     #[test]
