@@ -13,17 +13,26 @@
 //! guard band of the full-resolution one, and the resume suite pins its
 //! determinism. This bin only measures the wall-clock gap.
 //!
+//! At 100k chips it also checkpoints both aged fleets into a fresh store
+//! and resumes them, recording the save and resume wall time and the
+//! bytes on disk (`*_checkpoint_{save_ms,resume_ms,bytes}_100000`).
+//!
 //! ```text
 //! cargo run -p selfheal-bench --release --bin tiered_fleet -- --json
 //! ```
 
+use std::path::Path;
 use std::time::Instant;
 
 use selfheal_bench::{fmt, BenchRun, Table};
+use selfheal_fleet::checkpoint::{self, CHECKPOINT_NAMESPACE};
 use selfheal_fleet::{FleetConfig, FleetState};
+use selfheal_runtime::ResultCache;
 
 /// Fleet sizes swept, in chips.
 const SIZES: [usize; 2] = [100_000, 1_000_000];
+/// The size whose checkpoint save and resume are timed.
+const CHECKPOINT_CHIPS: usize = 100_000;
 /// Epochs run before the clock starts. Demotion itself converges within
 /// the first dozen epochs, but early cold windows are short (demotion
 /// rates are still high), so wake-rehydration traffic keeps falling for
@@ -58,6 +67,60 @@ fn ms_per_epoch(state: &mut FleetState) -> f64 {
     per_epoch
 }
 
+/// One checkpoint of an aged fleet: save and resume wall time (ms) and
+/// the bytes the store holds afterwards.
+struct CheckpointCost {
+    save_ms: f64,
+    resume_ms: f64,
+    bytes: f64,
+}
+
+/// Saves `state` into a fresh store, resumes it (seed rebuild, decode,
+/// overlay, digest check) and checks the resumed fleet is bit-identical.
+fn checkpoint_cost(state: &FleetState, tag: &str) -> CheckpointCost {
+    let store = std::env::temp_dir().join(format!(
+        "selfheal-tiered-fleet-{tag}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&store);
+    let cache = ResultCache::at(store.clone());
+    let started = Instant::now();
+    let saved = checkpoint::save(&cache, state);
+    let save_ms = started.elapsed().as_secs_f64() * 1e3;
+    let started = Instant::now();
+    let resumed = checkpoint::resume(&cache, state.config());
+    let resume_ms = started.elapsed().as_secs_f64() * 1e3;
+    assert!(saved.is_some(), "the checkpoint store must be writable");
+    assert_eq!(
+        resumed.map(|fleet| fleet.state_digest()),
+        saved,
+        "the {tag} fleet must resume bit-identically"
+    );
+    let bytes = dir_bytes(&store.join(CHECKPOINT_NAMESPACE));
+    let _ = std::fs::remove_dir_all(&store);
+    CheckpointCost {
+        save_ms,
+        resume_ms,
+        bytes,
+    }
+}
+
+/// Total size of the files in `dir`.
+fn dir_bytes(dir: &Path) -> f64 {
+    let total: u64 = std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .flatten()
+                .filter_map(|entry| entry.metadata().ok())
+                .map(|meta| meta.len())
+                .sum()
+        })
+        .unwrap_or(0);
+    #[allow(clippy::cast_precision_loss)]
+    let total = total as f64;
+    total
+}
+
 fn main() {
     let mut run = BenchRun::start("tiered_fleet");
     run.say("Fleet epoch advance: full trap resolution vs tiered integrator\n");
@@ -70,18 +133,41 @@ fn main() {
         "speedup",
     ]);
 
+    let mut checkpoints = Table::new(&["fleet", "save (ms)", "resume (ms)", "on disk (MB)"]);
+
     for &chips in &SIZES {
         let phase = run.phase_named(format!("fleet_{chips}"));
 
         let mut full = FleetState::build(fleet_config(chips, false));
         let full_ms = ms_per_epoch(&mut full);
+        let full_cost = (chips == CHECKPOINT_CHIPS).then(|| checkpoint_cost(&full, "full"));
         drop(full);
 
         let mut tiered = FleetState::build(fleet_config(chips, true));
         let tiered_ms = ms_per_epoch(&mut tiered);
         let counts = tiered.tier_counts();
+        let tiered_cost = (chips == CHECKPOINT_CHIPS).then(|| checkpoint_cost(&tiered, "tiered"));
         drop(tiered);
         drop(phase);
+
+        for (variant, cost) in [("full", full_cost), ("tiered", tiered_cost)] {
+            let Some(cost) = cost else { continue };
+            checkpoints.row(&[
+                &format!("{variant} {chips}"),
+                &fmt(cost.save_ms, 1),
+                &fmt(cost.resume_ms, 1),
+                &fmt(cost.bytes / 1e6, 2),
+            ]);
+            run.value(
+                &format!("{variant}_checkpoint_save_ms_{chips}"),
+                cost.save_ms,
+            );
+            run.value(
+                &format!("{variant}_checkpoint_resume_ms_{chips}"),
+                cost.resume_ms,
+            );
+            run.value(&format!("{variant}_checkpoint_bytes_{chips}"), cost.bytes);
+        }
 
         let speedup = full_ms / tiered_ms;
         #[allow(clippy::cast_precision_loss)]
@@ -102,7 +188,8 @@ fn main() {
     run.table(&table);
     run.say(
         "\nThe tiered fleet pays trap-resolution cost only for hot/pinned chips and\n\
-         wake-epoch rehydrations; a cold chip's epoch is one integer compare.",
+         wake-epoch rehydrations; a cold chip's epoch is one integer compare.\n",
     );
+    run.table(&checkpoints);
     run.finish("sizes=100k,1M shards=64 traps/chip=8 warmup=40 timed=8 guard_band=10mV");
 }

@@ -279,6 +279,23 @@ impl TrapBank {
         self.occupancy.len()
     }
 
+    /// Traps the bank holds without reallocating: the smallest capacity
+    /// among its arrays.
+    #[must_use]
+    pub fn capacity(&self) -> usize {
+        [
+            self.tau_c0.capacity(),
+            self.tau_e.capacity(),
+            self.tau_e0.capacity(),
+            self.step_mv.capacity(),
+            self.permanent.capacity(),
+            self.occupancy.capacity(),
+        ]
+        .into_iter()
+        .min()
+        .unwrap_or(0)
+    }
+
     /// Whether the bank holds no traps.
     #[must_use]
     pub fn is_empty(&self) -> bool {

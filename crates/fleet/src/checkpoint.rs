@@ -1,11 +1,17 @@
 //! Bit-exact checkpoint/resume through the content-addressed cache.
 //!
 //! A checkpoint stores only what a seed rebuild cannot regenerate: the
-//! occupancy vector of every shard bank, every reported duty cycle, the
-//! epoch counter and the mutation-digest chain. Trap constants (τ
-//! values, step sizes, permanence) are *not* stored — they come back
-//! bit-identically from [`FleetConfig::seed`], which keeps a 100k-chip
-//! snapshot at one `f64` per trap instead of six.
+//! occupancy vector of every shard bank, every reported duty cycle and
+//! integration tier, the epoch counter and the mutation-digest chain.
+//! Trap constants (τ values, step sizes, permanence) are *not* stored —
+//! they come back bit-identically from [`FleetConfig::seed`], which keeps
+//! a 100k-chip snapshot at one `f64` per trap instead of six.
+//!
+//! The bulk arrays are *packed*: each shard's occupancies, duties and
+//! tiers are one lowercase-hex string of little-endian bytes (see
+//! [`FleetCheckpoint`]'s `CacheRecord` impl), so a snapshot is about 16
+//! hex digits per trap and encodes and parses at memory speed, while the
+//! envelope stays an ordinary JSON document.
 //!
 //! Storage uses [`ResultCache::store_record`]/[`ResultCache::load_record`] (the
 //! checkpoint-store entry points, not the memo table): a *head* record
@@ -27,8 +33,9 @@ pub const CHECKPOINT_NAMESPACE: &str = "fleet-checkpoint";
 /// Checkpoint format version (bumped on layout changes; the kernel
 /// version rides in the key so kernel changes also invalidate).
 /// Version 2 added per-chip integration tiers + cold-chip analytic
-/// state for tiered fleets.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// state for tiered fleets; version 3 packs the per-shard arrays into
+/// hex strings.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// The latest-checkpoint pointer for one fleet configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,11 +129,12 @@ impl FleetCheckpoint {
     }
 }
 
-/// Writes `fleet`'s snapshot and advances the head pointer. Returns
-/// `false` when the cache is disabled (nothing written).
-pub fn save(cache: &ResultCache, fleet: &FleetState) -> bool {
+/// Writes `fleet`'s snapshot and advances the head pointer. Returns the
+/// state digest the snapshot recorded, or `None` when the cache is
+/// disabled (nothing captured, nothing written).
+pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<u64> {
     if !cache.is_active() {
-        return false;
+        return None;
     }
     let snapshot = FleetCheckpoint::capture(fleet);
     let head = CheckpointHead {
@@ -145,7 +153,7 @@ pub fn save(cache: &ResultCache, fleet: &FleetState) -> bool {
         &head_key(fleet.config()),
         &head,
     );
-    true
+    Some(head.state_digest)
 }
 
 /// Loads the newest snapshot for `config`, if one exists.
@@ -189,55 +197,117 @@ fn hex_u64(json: &Json) -> Option<u64> {
     u64::from_str_radix(json.as_str()?, 16).ok()
 }
 
-fn f64_vec(values: &[f64]) -> Json {
-    Json::Array(values.iter().map(|v| Json::Number(*v)).collect())
-}
-
-fn vec_f64(json: &Json) -> Option<Vec<f64>> {
-    json.as_array()?.iter().map(Json::as_f64).collect()
-}
-
-/// A tier serializes as `"hot"`, `"pinned"`, or
-/// `["cold", anchor_bits, rate_bits, since_epoch, wake_epoch]` (all
-/// four as 16-hex `u64`s — the anchor's and rate's exact bit patterns,
-/// and epochs that may be `u64::MAX`, none of which survives an `f64`
-/// round trip).
-fn tier_json(tier: &ChipTier) -> Json {
-    match tier {
-        ChipTier::Hot => Json::String("hot".into()),
-        ChipTier::Pinned => Json::String("pinned".into()),
-        ChipTier::Cold(cold) => Json::Array(vec![
-            Json::String("cold".into()),
-            u64_hex(cold.anchor.get().to_bits()),
-            u64_hex(cold.rate_mv_per_s.to_bits()),
-            u64_hex(cold.since_epoch),
-            u64_hex(cold.wake_epoch),
-        ]),
+/// Appends lowercase hex of `bytes`, two digits per byte.
+fn push_hex(out: &mut String, bytes: &[u8]) {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    for byte in bytes {
+        out.push(char::from(DIGITS[usize::from(byte >> 4)]));
+        out.push(char::from(DIGITS[usize::from(byte & 0xf)]));
     }
 }
 
-fn json_tier(json: &Json) -> Option<ChipTier> {
-    if let Some(tag) = json.as_str() {
-        return match tag {
-            "hot" => Some(ChipTier::Hot),
-            "pinned" => Some(ChipTier::Pinned),
+/// The bytes of a [`push_hex`] string; `None` on an odd length or any digit
+/// outside `0-9a-f` (uppercase included: one value, one encoding).
+fn unhex(json: &Json) -> Option<Vec<u8>> {
+    fn nibble(digit: u8) -> Option<u8> {
+        match digit {
+            b'0'..=b'9' => Some(digit - b'0'),
+            b'a'..=b'f' => Some(digit - b'a' + 10),
             _ => None,
-        };
+        }
     }
-    let parts = json.as_array()?;
-    if parts.len() != 5 || parts[0].as_str()? != "cold" {
+    let digits = json.as_str()?.as_bytes();
+    if digits.len() % 2 != 0 {
         return None;
     }
-    Some(ChipTier::Cold(ColdChip {
-        anchor: Millivolts::new(f64::from_bits(hex_u64(&parts[1])?)),
-        rate_mv_per_s: f64::from_bits(hex_u64(&parts[2])?),
-        since_epoch: hex_u64(&parts[3])?,
-        wake_epoch: hex_u64(&parts[4])?,
-    }))
+    let mut bytes = Vec::with_capacity(digits.len() / 2);
+    for pair in digits.chunks_exact(2) {
+        bytes.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
+    }
+    Some(bytes)
 }
 
-fn vec_tier(json: &Json) -> Option<Vec<ChipTier>> {
-    json.as_array()?.iter().map(json_tier).collect()
+/// Reads the little-endian word at the front of `bytes`.
+fn le_word(bytes: &[u8]) -> Option<u64> {
+    Some(u64::from_le_bytes(bytes.get(..8)?.try_into().ok()?))
+}
+
+/// `f64`s packed as their little-endian bit patterns.
+fn pack_f64s(values: &[f64]) -> Json {
+    let mut out = String::with_capacity(16 * values.len());
+    for value in values {
+        push_hex(&mut out, &value.to_bits().to_le_bytes());
+    }
+    Json::String(out)
+}
+
+fn unpack_f64s(json: &Json) -> Option<Vec<f64>> {
+    let bytes = unhex(json)?;
+    if bytes.len() % 8 != 0 {
+        return None;
+    }
+    bytes
+        .chunks_exact(8)
+        .map(|word| le_word(word).map(f64::from_bits))
+        .collect()
+}
+
+/// Tier tags in the packed stream.
+const TAG_HOT: u8 = 0;
+const TAG_PINNED: u8 = 1;
+const TAG_COLD: u8 = 2;
+
+/// Tiers packed as a tag byte each; a cold tag is followed by four
+/// little-endian words: the anchor's and the rate's exact bit patterns,
+/// then the since and wake epochs (either may be `u64::MAX`, which no
+/// `f64` JSON number carries).
+fn pack_tiers(tiers: &[ChipTier]) -> Json {
+    let mut out = String::with_capacity(2 * tiers.len());
+    for tier in tiers {
+        match tier {
+            ChipTier::Hot => push_hex(&mut out, &[TAG_HOT]),
+            ChipTier::Pinned => push_hex(&mut out, &[TAG_PINNED]),
+            ChipTier::Cold(cold) => {
+                push_hex(&mut out, &[TAG_COLD]);
+                for word in [
+                    cold.anchor.get().to_bits(),
+                    cold.rate_mv_per_s.to_bits(),
+                    cold.since_epoch,
+                    cold.wake_epoch,
+                ] {
+                    push_hex(&mut out, &word.to_le_bytes());
+                }
+            }
+        }
+    }
+    Json::String(out)
+}
+
+/// Unpacks exactly `chips` tiers; `None` on an unknown tag, a truncated
+/// cold record, or bytes left over.
+fn unpack_tiers(json: &Json, chips: usize) -> Option<Vec<ChipTier>> {
+    let bytes = unhex(json)?;
+    let mut rest = bytes.as_slice();
+    let mut tiers = Vec::with_capacity(chips);
+    while let Some((&tag, tail)) = rest.split_first() {
+        rest = tail;
+        tiers.push(match tag {
+            TAG_HOT => ChipTier::Hot,
+            TAG_PINNED => ChipTier::Pinned,
+            TAG_COLD => {
+                let (record, tail) = rest.split_at_checked(32)?;
+                rest = tail;
+                ChipTier::Cold(ColdChip {
+                    anchor: Millivolts::new(f64::from_bits(le_word(record)?)),
+                    rate_mv_per_s: f64::from_bits(le_word(&record[8..])?),
+                    since_epoch: le_word(&record[16..])?,
+                    wake_epoch: le_word(&record[24..])?,
+                })
+            }
+            _ => return None,
+        });
+    }
+    (tiers.len() == chips).then_some(tiers)
 }
 
 impl CacheRecord for CheckpointHead {
@@ -258,6 +328,9 @@ impl CacheRecord for CheckpointHead {
     }
 }
 
+/// Packed layout: `occupancies`, `duties` and `tiers` are arrays with
+/// one hex string per shard (see [`pack_f64s`] and [`pack_tiers`]). A
+/// shard's tier stream must hold exactly one tier per duty.
 impl CacheRecord for FleetCheckpoint {
     fn to_cache_json(&self) -> Json {
         #[allow(clippy::cast_precision_loss)]
@@ -267,48 +340,44 @@ impl CacheRecord for FleetCheckpoint {
             ("state_digest".into(), u64_hex(self.state_digest)),
             (
                 "occupancies".into(),
-                Json::Array(self.occupancies.iter().map(|s| f64_vec(s)).collect()),
+                Json::Array(self.occupancies.iter().map(|s| pack_f64s(s)).collect()),
             ),
             (
                 "duties".into(),
-                Json::Array(self.duties.iter().map(|s| f64_vec(s)).collect()),
+                Json::Array(self.duties.iter().map(|s| pack_f64s(s)).collect()),
             ),
             (
                 "tiers".into(),
-                Json::Array(
-                    self.tiers
-                        .iter()
-                        .map(|s| Json::Array(s.iter().map(tier_json).collect()))
-                        .collect(),
-                ),
+                Json::Array(self.tiers.iter().map(|s| pack_tiers(s)).collect()),
             ),
         ])
     }
 
     fn from_cache_json(json: &Json) -> Option<Self> {
+        let shards = |key: &str| json.get(key).and_then(Json::as_array);
+        let duties = shards("duties")?
+            .iter()
+            .map(unpack_f64s)
+            .collect::<Option<Vec<_>>>()?;
+        let tiers = shards("tiers")?;
+        if tiers.len() != duties.len() {
+            return None;
+        }
         #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
         Some(FleetCheckpoint {
             epoch: json.get("epoch")?.as_f64()? as u64,
             mutation_digest: hex_u64(json.get("mutation_digest")?)?,
             state_digest: hex_u64(json.get("state_digest")?)?,
-            occupancies: json
-                .get("occupancies")?
-                .as_array()?
+            occupancies: shards("occupancies")?
                 .iter()
-                .map(vec_f64)
+                .map(unpack_f64s)
                 .collect::<Option<Vec<_>>>()?,
-            duties: json
-                .get("duties")?
-                .as_array()?
+            tiers: tiers
                 .iter()
-                .map(vec_f64)
+                .zip(&duties)
+                .map(|(tier, duty)| unpack_tiers(tier, duty.len()))
                 .collect::<Option<Vec<_>>>()?,
-            tiers: json
-                .get("tiers")?
-                .as_array()?
-                .iter()
-                .map(vec_tier)
-                .collect::<Option<Vec<_>>>()?,
+            duties,
         })
     }
 }
@@ -316,6 +385,7 @@ impl CacheRecord for FleetCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::daemon::FleetDaemon;
     use selfheal_units::DutyCycle;
 
     fn tiny_config(seed: u64) -> FleetConfig {
@@ -371,10 +441,10 @@ mod tests {
         let config = tiny_config(5);
         let mut fleet = FleetState::build(config.clone());
         fleet.advance_epoch();
-        assert!(save(&cache, &fleet));
+        assert_eq!(save(&cache, &fleet), Some(fleet.state_digest()));
         fleet.fold_report(0, DutyCycle::new(0.5));
         fleet.advance_epoch();
-        assert!(save(&cache, &fleet));
+        assert_eq!(save(&cache, &fleet), Some(fleet.state_digest()));
         let resumed = match resume(&cache, &config) {
             Some(fleet) => fleet,
             None => panic!("resume must find the saved head"),
@@ -384,6 +454,228 @@ mod tests {
         // A different seed has no checkpoints at all.
         assert!(resume(&cache, &tiny_config(6)).is_none());
         // A disabled cache stores nothing.
-        assert!(!save(&ResultCache::disabled(), &fleet));
+        assert_eq!(save(&ResultCache::disabled(), &fleet), None);
+    }
+
+    fn tiered_config(seed: u64) -> FleetConfig {
+        let mut config = tiny_config(seed);
+        config.tiered = true;
+        config.guard_band = Millivolts::new(10.0);
+        config
+    }
+
+    /// A tiered fleet two epochs in, with one reported (pinned) chip: hot,
+    /// pinned and cold chips side by side.
+    fn tiered_fleet(seed: u64) -> FleetState {
+        let mut fleet = FleetState::build(tiered_config(seed));
+        fleet.advance_epoch();
+        assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
+        fleet.advance_epoch();
+        let counts = fleet.tier_counts();
+        assert!(counts.cold > 0 && counts.pinned > 0, "{counts:?}");
+        fleet
+    }
+
+    #[test]
+    fn tiered_checkpoint_round_trips_bit_exactly() {
+        let fleet = tiered_fleet(3);
+        let mut snapshot = FleetCheckpoint::capture(&fleet);
+        let reparsed = FleetCheckpoint::from_cache_json(&snapshot.to_cache_json())
+            .expect("tiered checkpoint JSON must round-trip");
+        assert_eq!(reparsed, snapshot);
+        let restored = reparsed
+            .restore(tiered_config(3))
+            .expect("same config restores");
+        assert_eq!(restored.state_digest(), fleet.state_digest());
+        for chip in 0..9 {
+            assert_eq!(restored.chip_tier(chip), fleet.chip_tier(chip));
+        }
+
+        // Words no JSON number carries: a sleep-forever wake epoch, a
+        // negative-zero anchor and a subnormal rate, all bit for bit.
+        let extreme = ColdChip {
+            anchor: Millivolts::new(-0.0),
+            rate_mv_per_s: f64::from_bits(1),
+            since_epoch: u64::MAX - 1,
+            wake_epoch: u64::MAX,
+        };
+        snapshot.tiers[0][0] = ChipTier::Cold(extreme);
+        snapshot.occupancies[0][0] = f64::from_bits(0x3ff0_0000_0000_0001);
+        let json = snapshot.to_cache_json();
+        let reparsed = FleetCheckpoint::from_cache_json(&json).expect("extremes round-trip");
+        let ChipTier::Cold(cold) = reparsed.tiers[0][0] else {
+            panic!("the cold chip came back as {:?}", reparsed.tiers[0][0]);
+        };
+        assert_eq!(cold.anchor.get().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(cold.rate_mv_per_s.to_bits(), 1);
+        assert_eq!(
+            (cold.since_epoch, cold.wake_epoch),
+            (u64::MAX - 1, u64::MAX)
+        );
+        assert_eq!(reparsed.occupancies[0][0].to_bits(), 0x3ff0_0000_0000_0001);
+        // Equal encodings are equal bits everywhere else too.
+        assert_eq!(reparsed.to_cache_json().render(), json.render());
+    }
+
+    /// Stores any JSON value as a record (for planting payloads).
+    struct Raw(Json);
+
+    impl CacheRecord for Raw {
+        fn to_cache_json(&self) -> Json {
+            self.0.clone()
+        }
+
+        fn from_cache_json(json: &Json) -> Option<Self> {
+            Some(Raw(json.clone()))
+        }
+    }
+
+    /// `payload` with the string at `field[shard]` rewritten by `edit`.
+    fn edit_shard(
+        payload: &Json,
+        field: &str,
+        shard: usize,
+        edit: &dyn Fn(&str) -> String,
+    ) -> Json {
+        let mut payload = payload.clone();
+        if let Json::Object(map) = &mut payload {
+            if let Some(Json::Array(shards)) = map.get_mut(field) {
+                let text = shards[shard].as_str().expect("packed shards are strings");
+                shards[shard] = Json::String(edit(text));
+            }
+        }
+        payload
+    }
+
+    #[test]
+    fn hostile_payloads_decode_to_none_and_resume_builds_fresh() {
+        let config = tiered_config(5);
+        let fleet = tiered_fleet(5);
+        let snapshot = FleetCheckpoint::capture(&fleet);
+        let good = snapshot.to_cache_json();
+        let chips = snapshot.duties[0].len();
+        let hot = "00".repeat(chips - 1);
+        // Each case: (what, the hostile payload, the nearest valid one).
+        let cases: Vec<(&str, Json, Json)> = vec![
+            (
+                "odd hex length",
+                edit_shard(&good, "occupancies", 0, &|s| format!("{s}0")),
+                good.clone(),
+            ),
+            (
+                "non-hex digit",
+                edit_shard(&good, "occupancies", 0, &|s| format!("g{}", &s[1..])),
+                edit_shard(&good, "occupancies", 0, &|s| format!("a{}", &s[1..])),
+            ),
+            (
+                "uppercase digit",
+                edit_shard(&good, "duties", 1, &|s| format!("{}A", &s[..s.len() - 1])),
+                edit_shard(&good, "duties", 1, &|s| format!("{}a", &s[..s.len() - 1])),
+            ),
+            (
+                "byte count not a multiple of 8",
+                edit_shard(&good, "occupancies", 1, &|s| format!("{s}0000")),
+                edit_shard(&good, "occupancies", 1, &|s| format!("{s}0000000000000000")),
+            ),
+            (
+                "unknown tier tag",
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}03")),
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}01")),
+            ),
+            (
+                "truncated cold record",
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}02{}", "00".repeat(31))),
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}02{}", "00".repeat(32))),
+            ),
+            (
+                "trailing bytes",
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}0000")),
+                edit_shard(&good, "tiers", 0, &|_| format!("{hot}00")),
+            ),
+        ];
+        for (what, hostile, valid) in cases {
+            assert!(FleetCheckpoint::from_cache_json(&valid).is_some(), "{what}: control");
+            assert_eq!(FleetCheckpoint::from_cache_json(&hostile), None, "{what}");
+
+            let cache = scratch_cache("hostile");
+            assert!(save(&cache, &fleet).is_some());
+            cache.store_record(
+                CHECKPOINT_NAMESPACE,
+                CHECKPOINT_VERSION,
+                &snapshot_key(&config, snapshot.epoch, snapshot.state_digest),
+                &Raw(hostile),
+            );
+            let (daemon, resumed) = FleetDaemon::resume_or_new(config.clone(), cache, 0);
+            assert!(!resumed, "{what}: resume must miss");
+            assert_eq!(daemon.state().epoch(), 0, "{what}: a fresh fleet");
+        }
+    }
+
+    /// The version-2 layout: one JSON number per `f64`, tiers as `"hot"`,
+    /// `"pinned"` or `["cold", anchor, rate, since, wake]` in 16-digit hex.
+    fn v2_payload(snapshot: &FleetCheckpoint) -> Json {
+        let numbers = |shards: &[Vec<f64>]| {
+            Json::Array(
+                shards
+                    .iter()
+                    .map(|s| Json::Array(s.iter().map(|v| Json::Number(*v)).collect()))
+                    .collect(),
+            )
+        };
+        let tier = |tier: &ChipTier| match tier {
+            ChipTier::Hot => Json::String("hot".into()),
+            ChipTier::Pinned => Json::String("pinned".into()),
+            ChipTier::Cold(cold) => Json::Array(vec![
+                Json::String("cold".into()),
+                u64_hex(cold.anchor.get().to_bits()),
+                u64_hex(cold.rate_mv_per_s.to_bits()),
+                u64_hex(cold.since_epoch),
+                u64_hex(cold.wake_epoch),
+            ]),
+        };
+        #[allow(clippy::cast_precision_loss)]
+        Json::object(vec![
+            ("epoch".into(), Json::Number(snapshot.epoch as f64)),
+            ("mutation_digest".into(), u64_hex(snapshot.mutation_digest)),
+            ("state_digest".into(), u64_hex(snapshot.state_digest)),
+            ("occupancies".into(), numbers(&snapshot.occupancies)),
+            ("duties".into(), numbers(&snapshot.duties)),
+            (
+                "tiers".into(),
+                Json::Array(
+                    snapshot
+                        .tiers
+                        .iter()
+                        .map(|s| Json::Array(s.iter().map(tier).collect()))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    #[test]
+    fn a_version_2_checkpoint_misses_cleanly() {
+        let config = tiered_config(7);
+        let fleet = tiered_fleet(7);
+        let snapshot = FleetCheckpoint::capture(&fleet);
+        let cache = scratch_cache("v2");
+        let head = CheckpointHead {
+            epoch: snapshot.epoch,
+            state_digest: snapshot.state_digest,
+        };
+        cache.store_record(
+            CHECKPOINT_NAMESPACE,
+            2,
+            &snapshot_key(&config, head.epoch, head.state_digest),
+            &Raw(v2_payload(&snapshot)),
+        );
+        cache.store_record(CHECKPOINT_NAMESPACE, 2, &head_key(&config), &head);
+        assert!(load_latest(&cache, &config).is_none());
+        let (daemon, resumed) = FleetDaemon::resume_or_new(config.clone(), cache, 0);
+        assert!(!resumed);
+        assert_eq!(daemon.state().epoch(), 0);
+        // Even filed under the current version, the old layout is no
+        // checkpoint.
+        assert_eq!(FleetCheckpoint::from_cache_json(&v2_payload(&snapshot)), None);
     }
 }

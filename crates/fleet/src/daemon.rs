@@ -89,11 +89,12 @@ impl FleetDaemon {
             format!("epoch={epoch} sim_s={}", self.state.sim_time().get())
         });
         if self.checkpoint_every > 0 && epoch % self.checkpoint_every == 0 {
-            checkpoint::save(&self.cache, &self.state);
-            counter!("fleet.checkpoints", 1);
-            flight::record("checkpoint", "save", || {
-                format!("epoch={epoch} digest={:016x}", self.state.state_digest())
-            });
+            if let Some(digest) = checkpoint::save(&self.cache, &self.state) {
+                counter!("fleet.checkpoints", 1);
+                flight::record("checkpoint", "save", || {
+                    format!("epoch={epoch} digest={digest:016x}")
+                });
+            }
         }
         #[allow(clippy::cast_precision_loss)]
         let epoch_f = epoch as f64;
@@ -113,7 +114,7 @@ impl FleetDaemon {
     /// Writes a final checkpoint (shutdown path). Returns `false` when
     /// the cache is disabled.
     pub fn final_checkpoint(&self) -> bool {
-        checkpoint::save(&self.cache, &self.state)
+        checkpoint::save(&self.cache, &self.state).is_some()
     }
 
     /// Answers one request against the live state.

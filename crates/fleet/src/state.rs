@@ -20,7 +20,7 @@ use selfheal_bti::td::{
 };
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
-use selfheal_telemetry::fnv1a;
+use selfheal_telemetry::{fnv1a, Fnv1a};
 use selfheal_units::{DutyCycle, Millivolts, Seconds};
 
 use crate::config::FleetConfig;
@@ -54,21 +54,21 @@ impl Shard {
     /// Samples a fresh shard: each chip draws its ensemble from its own
     /// `seeds.rng(local_index)` stream, so the shard's contents depend
     /// only on `(config.seed, shard_index, local_index)` — never on
-    /// execution order.
+    /// execution order. The bank is built once at its exact final size:
+    /// growing it by pushes would leave up to half of every array as
+    /// spare capacity for the life of the fleet.
     #[must_use]
     pub fn sample(config: &FleetConfig, shard_index: usize, seeds: &SeedSequence) -> Shard {
         let chip_range = config.shard_chip_range(shard_index);
-        let mut bank = TrapBank::new();
+        let mut traps = Vec::new();
         let mut chips = Vec::with_capacity(chip_range.len());
         for local in 0..chip_range.len() {
             let mut rng = seeds.rng(local as u64);
             let ensemble = TrapEnsemble::sample(&config.trap_params, &mut rng);
-            let start = bank.len();
-            for trap in ensemble.iter() {
-                bank.push(trap);
-            }
+            let start = traps.len();
+            traps.extend(ensemble.iter());
             chips.push(ChipSlot {
-                traps: start..bank.len(),
+                traps: start..traps.len(),
                 duty: DutyCycle::default(),
                 tier: ChipTier::Hot,
             });
@@ -76,7 +76,7 @@ impl Shard {
         Shard {
             first_chip: chip_range.start,
             chips,
-            bank,
+            bank: TrapBank::from_traps(&traps),
         }
     }
 
@@ -373,12 +373,12 @@ impl FleetState {
             self.shards[shard].chips[local].tier = ChipTier::Pinned;
         }
         self.shards[shard].chips[local].duty = duty;
-        let mut bytes = Vec::with_capacity(32);
-        bytes.extend_from_slice(&self.mutation_digest.to_be_bytes());
-        bytes.extend_from_slice(&self.epoch.to_be_bytes());
-        bytes.extend_from_slice(&(chip as u64).to_be_bytes());
-        bytes.extend_from_slice(&duty.get().to_bits().to_be_bytes());
-        self.mutation_digest = fnv1a(&bytes);
+        let mut hasher = Fnv1a::new();
+        hasher.write(&self.mutation_digest.to_be_bytes());
+        hasher.write(&self.epoch.to_be_bytes());
+        hasher.write(&(chip as u64).to_be_bytes());
+        hasher.write(&duty.get().to_bits().to_be_bytes());
+        self.mutation_digest = hasher.finish();
         true
     }
 
@@ -420,29 +420,29 @@ impl FleetState {
     /// Two states with equal digests answer every request identically.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.epoch.to_be_bytes());
-        bytes.extend_from_slice(&self.mutation_digest.to_be_bytes());
+        let mut hasher = Fnv1a::new();
+        hasher.write(&self.epoch.to_be_bytes());
+        hasher.write(&self.mutation_digest.to_be_bytes());
         for shard in &self.shards {
             for occ in shard.bank.occupancies() {
-                bytes.extend_from_slice(&occ.to_bits().to_be_bytes());
+                hasher.write(&occ.to_bits().to_be_bytes());
             }
             for chip in &shard.chips {
-                bytes.extend_from_slice(&chip.duty.get().to_bits().to_be_bytes());
+                hasher.write(&chip.duty.get().to_bits().to_be_bytes());
                 match &chip.tier {
-                    ChipTier::Hot => bytes.push(0),
-                    ChipTier::Pinned => bytes.push(1),
+                    ChipTier::Hot => hasher.write(&[0]),
+                    ChipTier::Pinned => hasher.write(&[1]),
                     ChipTier::Cold(cold) => {
-                        bytes.push(2);
-                        bytes.extend_from_slice(&cold.anchor.get().to_bits().to_be_bytes());
-                        bytes.extend_from_slice(&cold.rate_mv_per_s.to_bits().to_be_bytes());
-                        bytes.extend_from_slice(&cold.since_epoch.to_be_bytes());
-                        bytes.extend_from_slice(&cold.wake_epoch.to_be_bytes());
+                        hasher.write(&[2]);
+                        hasher.write(&cold.anchor.get().to_bits().to_be_bytes());
+                        hasher.write(&cold.rate_mv_per_s.to_bits().to_be_bytes());
+                        hasher.write(&cold.since_epoch.to_be_bytes());
+                        hasher.write(&cold.wake_epoch.to_be_bytes());
                     }
                 }
             }
         }
-        fnv1a(&bytes)
+        hasher.finish()
     }
 
     /// Total traps across all shards.
@@ -580,6 +580,68 @@ mod tests {
         // Pinned is sticky: further epochs never demote it again.
         fleet.advance_epoch();
         assert_eq!(fleet.chip_tier(chip), Some(ChipTier::Pinned));
+    }
+
+    /// The digest's byte layout before it was hashed incrementally: the
+    /// whole state copied into one buffer, then hashed in one call.
+    fn digest_over_one_buffer(fleet: &FleetState) -> u64 {
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(&fleet.epoch.to_be_bytes());
+        bytes.extend_from_slice(&fleet.mutation_digest.to_be_bytes());
+        for shard in &fleet.shards {
+            for occ in shard.bank.occupancies() {
+                bytes.extend_from_slice(&occ.to_bits().to_be_bytes());
+            }
+            for chip in &shard.chips {
+                bytes.extend_from_slice(&chip.duty.get().to_bits().to_be_bytes());
+                match &chip.tier {
+                    ChipTier::Hot => bytes.push(0),
+                    ChipTier::Pinned => bytes.push(1),
+                    ChipTier::Cold(cold) => {
+                        bytes.push(2);
+                        bytes.extend_from_slice(&cold.anchor.get().to_bits().to_be_bytes());
+                        bytes.extend_from_slice(&cold.rate_mv_per_s.to_bits().to_be_bytes());
+                        bytes.extend_from_slice(&cold.since_epoch.to_be_bytes());
+                        bytes.extend_from_slice(&cold.wake_epoch.to_be_bytes());
+                    }
+                }
+            }
+        }
+        fnv1a(&bytes)
+    }
+
+    #[test]
+    fn incremental_digest_matches_the_one_buffer_layout() {
+        let mut fleet = FleetState::build(tiered_config());
+        assert_eq!(fleet.state_digest(), digest_over_one_buffer(&fleet));
+        fleet.advance_epoch();
+        fleet.advance_epoch();
+        let cold = (0..10)
+            .find(|&c| fleet.chip_tier(c).is_some_and(|t| t.is_cold()))
+            .expect("some chip is cold after two epochs");
+        let pinned = (0..10).find(|&c| c != cold).expect("a second chip");
+        assert!(fleet.fold_report(pinned, DutyCycle::new(0.4)));
+        fleet.advance_epoch();
+        // Steady state has no hot chips left here; put one back by hand.
+        let hot = (0..10)
+            .find(|&c| c != cold && c != pinned)
+            .expect("a third chip");
+        let (shard, local) = fleet.locate(hot).expect("chip resolves");
+        fleet.shards[shard].chips[local].tier = ChipTier::Hot;
+        let counts = fleet.tier_counts();
+        assert!(
+            counts.hot > 0 && counts.pinned > 0 && counts.cold > 0,
+            "the fleet must mix all three tiers (got {counts:?})"
+        );
+        assert_eq!(fleet.state_digest(), digest_over_one_buffer(&fleet));
+    }
+
+    #[test]
+    fn sampled_banks_have_no_spare_capacity() {
+        let fleet = FleetState::build(tiny_config());
+        for shard in fleet.shards() {
+            assert_eq!(shard.bank.capacity(), shard.bank.len());
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //! Entries verify their stored namespace/version/key on read; a hash
 //! collision or truncated file degrades to a miss, never a wrong hit.
 
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -205,8 +206,9 @@ impl ResultCache {
         version: u32,
         key: &str,
     ) -> Option<T> {
-        let text = std::fs::read_to_string(path).ok()?;
-        let doc = telemetry::json::parse(&text).ok()?;
+        // The text is dropped as soon as it is parsed: a checkpoint is
+        // megabytes, and the payload decode below allocates its own copy.
+        let doc = telemetry::json::parse(&std::fs::read_to_string(path).ok()?).ok()?;
         // Verify identity fields: an FNV collision or stale file format
         // must degrade to a miss, not deserialize someone else's payload.
         if doc.get("namespace").and_then(Json::as_str) != Some(namespace) {
@@ -241,12 +243,20 @@ impl ResultCache {
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
-        // Atomic publish: write a sibling temp file, then rename. A
-        // concurrent writer computing the same key writes identical
-        // bytes, so last-rename-wins is harmless.
+        // Atomic publish: stream the document into a sibling temp file,
+        // then rename. A concurrent writer computing the same key writes
+        // identical bytes, so last-rename-wins is harmless. The bytes are
+        // exactly `doc.render_pretty()`, never held in memory whole.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, doc.render_pretty()).is_ok() {
+        let written = std::fs::File::create(&tmp).and_then(|file| {
+            let mut out = BufWriter::new(file);
+            write!(out, "{doc:#}")?;
+            out.flush()
+        });
+        if written.is_ok() {
             let _ = std::fs::rename(&tmp, path);
+        } else {
+            let _ = std::fs::remove_file(&tmp);
         }
     }
 }

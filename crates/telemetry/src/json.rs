@@ -78,7 +78,7 @@ impl Json {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        let _ = self.render_into(&mut out, None, 0);
         out
     }
 
@@ -86,94 +86,135 @@ impl Json {
     #[must_use]
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
+        let _ = self.render_into(&mut out, Some(2), 0);
         out
     }
 
-    fn write(&self, out: &mut String, indent: Option<usize>, level: usize) {
+    /// The one renderer behind [`render`](Json::render),
+    /// [`render_pretty`](Json::render_pretty) and `Display`: streams into
+    /// any `fmt::Write` sink, so large documents need not exist as one
+    /// string first.
+    fn render_into(
+        &self,
+        out: &mut impl fmt::Write,
+        indent: Option<usize>,
+        level: usize,
+    ) -> fmt::Result {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.write_str("null"),
+            Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
             Json::Number(n) => write_number(out, *n),
             Json::String(s) => write_string(out, s),
-            Json::Array(items) => {
-                write_seq(out, indent, level, '[', ']', items.len(), |out, i, lvl| {
-                    items[i].write(out, indent, lvl);
-                });
-            }
-            Json::Object(map) => {
-                let entries: Vec<(&String, &Json)> = map.iter().collect();
-                write_seq(out, indent, level, '{', '}', entries.len(), |out, i, lvl| {
-                    write_string(out, entries[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    entries[i].1.write(out, indent, lvl);
-                });
-            }
+            Json::Array(items) => write_seq(
+                out,
+                indent,
+                level,
+                ['[', ']'],
+                items.iter(),
+                |out, item, lvl| item.render_into(out, indent, lvl),
+            ),
+            Json::Object(map) => write_seq(
+                out,
+                indent,
+                level,
+                ['{', '}'],
+                map.iter(),
+                |out, (key, value), lvl| {
+                    write_string(out, key)?;
+                    out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                    value.render_into(out, indent, lvl)
+                },
+            ),
         }
+    }
+}
+
+/// Compact by default; the alternate flag (`{:#}`) renders exactly
+/// [`Json::render_pretty`]'s bytes. Writing a document straight to a
+/// file this way never builds the whole text in memory.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.render_into(f, f.alternate().then_some(2), 0)
     }
 }
 
 /// Shared array/object layout: separators, newlines and indentation.
-fn write_seq(
-    out: &mut String,
+fn write_seq<W: fmt::Write, T>(
+    out: &mut W,
     indent: Option<usize>,
     level: usize,
-    open: char,
-    close: char,
-    len: usize,
-    mut item: impl FnMut(&mut String, usize, usize),
-) {
-    out.push(open);
-    for i in 0..len {
+    [open, close]: [char; 2],
+    items: impl ExactSizeIterator<Item = T>,
+    mut item: impl FnMut(&mut W, T, usize) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
+    let empty = items.len() == 0;
+    for (i, value) in items.enumerate() {
         if i > 0 {
-            out.push(',');
+            out.write_char(',')?;
         }
         if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * (level + 1)));
+            write_indent(out, width * (level + 1))?;
         }
-        item(out, i, level + 1);
+        item(out, value, level + 1)?;
     }
-    if len > 0 {
-        if let Some(width) = indent {
-            out.push('\n');
-            out.push_str(&" ".repeat(width * level));
-        }
+    if let (false, Some(width)) = (empty, indent) {
+        write_indent(out, width * level)?;
     }
-    out.push(close);
+    out.write_char(close)
+}
+
+/// A newline and `spaces` spaces, copied from a static run instead of
+/// allocating a fresh one per element.
+fn write_indent(out: &mut impl fmt::Write, mut spaces: usize) -> fmt::Result {
+    const SPACES: &str = "                                                                ";
+    out.write_char('\n')?;
+    while spaces > 0 {
+        let n = spaces.min(SPACES.len());
+        out.write_str(&SPACES[..n])?;
+        spaces -= n;
+    }
+    Ok(())
 }
 
 /// Writes a number; non-finite values become `null`.
-fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
     if n.is_finite() {
         // `{:?}` is Rust's shortest round-trip float rendering, which is
         // also valid JSON for finite values.
-        let _ = fmt::Write::write_fmt(out, format_args!("{n:?}"));
+        write!(out, "{n:?}")
     } else {
-        out.push_str("null");
+        out.write_str("null")
     }
 }
 
-/// Writes a JSON string with the escapes the grammar requires.
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Writes a JSON string with the escapes the grammar requires. Every
+/// byte that needs one is ASCII, so the runs between them are copied
+/// whole and always split on character boundaries.
+fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            // The other control characters take the `\u00XX` form.
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}")?;
+        } else {
+            out.write_str(escape)?;
         }
+        run = i + 1;
     }
-    out.push('"');
+    out.write_str(&s[run..])?;
+    out.write_char('"')
 }
 
 /// A parse failure, with a byte offset into the input.
@@ -293,6 +334,8 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, ParseError> {
     }
 }
 
+/// Parses a string in one pass: each run of bytes up to the next `"` or
+/// `\` is copied whole, so the cost is linear in the string's length.
 fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     if bytes.get(*pos) != Some(&b'"') {
         return Err(err(*pos, "expected string"));
@@ -300,13 +343,23 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        let start = *pos;
+        while *pos < bytes.len() && !matches!(bytes[*pos], b'"' | b'\\') {
+            *pos += 1;
+        }
+        // The input is a `&str` and the run ends at an ASCII byte (or the
+        // end), so the run is whole characters.
+        out.push_str(
+            std::str::from_utf8(&bytes[start..*pos]).map_err(|_| err(start, "invalid UTF-8"))?,
+        );
         match bytes.get(*pos) {
             None => return Err(err(*pos, "unterminated string")),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -332,17 +385,6 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                     _ => return Err(err(*pos, "bad escape")),
                 }
                 *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 character (input is &str, so this is
-                // always well-formed).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let Some(c) = s.chars().next() else {
-                    return Err(err(*pos, "unterminated string"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
             }
         }
     }

@@ -69,7 +69,7 @@ pub use event::{
 };
 pub use flight::{FlightRecord, FlightRecorder};
 pub use json::Json;
-pub use manifest::{fnv1a, git_describe, RunManifest};
+pub use manifest::{fnv1a, git_describe, Fnv1a, RunManifest};
 pub use metrics::{counter_add, gauge_set, histogram_observe, Histogram, Metric, MetricsSnapshot};
 pub use sink::{
     events_enabled, flush_all, init_from_env, install_sink, ChromeTraceSink, JsonlSink,

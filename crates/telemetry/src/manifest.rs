@@ -23,12 +23,43 @@ use crate::timeseries::{self, SeriesSummary};
 /// manifest files mean real config changes.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut hasher = Fnv1a::new();
+    hasher.write(bytes);
+    hasher.finish()
+}
+
+/// Incremental [`fnv1a`]: feeding the same bytes in any number of
+/// `write` calls gives the same hash as one call over their
+/// concatenation, so large states hash without being copied out first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// The empty-input state (the FNV offset basis).
+    #[must_use]
+    pub const fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
     }
-    hash
+
+    /// Folds `bytes` into the hash.
+    pub fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 ^= u64::from(*byte);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// The hash of everything written so far.
+    #[must_use]
+    pub const fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a::new()
+    }
 }
 
 /// `git describe --always --dirty` for the working tree, if git and a
@@ -207,6 +238,11 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+        let mut split = Fnv1a::new();
+        split.write(b"foo");
+        split.write(b"");
+        split.write(b"bar");
+        assert_eq!(split.finish(), fnv1a(b"foobar"));
     }
 
     #[test]

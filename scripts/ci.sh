@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # The local CI gauntlet, in dependency order: build everything in release
-# mode, run the full test suite, run the domain-aware static-analysis
-# gate, and smoke-check the perf ledger + regression gate.
+# mode, run the full test suite and the benchmark's smoke suite, run the
+# domain-aware static-analysis gate, and smoke-check the perf ledger +
+# regression gate.
 #
 # `perf_gate --smoke` deliberately runs no benchmarks: it validates that
 # every committed bench_history/*.jsonl parses and that the gate's
@@ -26,6 +27,15 @@ echo "== cargo test" >&2
 # per-crate tests (fleet resume/protocol, analyzer fixtures, ...) live
 # in their own crates and must run too.
 cargo test -q --workspace
+
+echo "== perfbench smoke" >&2
+# The repository benchmark's own smoke suite: every workload at 2k
+# chips, untraced and traced, with all of its correctness checks. The
+# traced restart run reads the newest checkpoint back through
+# json::parse -> from_cache_json -> restore and requires a byte-identical
+# re-render, so a checkpoint format change that breaks the benchmark
+# fails here.
+CARGO_TARGET_DIR=.bench_build cargo test --release --manifest-path perfbench/Cargo.toml
 
 echo "== physics golden (all_experiments)" >&2
 # The physics oracle: an uncached all_experiments run must reproduce the
