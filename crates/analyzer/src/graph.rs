@@ -32,7 +32,8 @@ use crate::sig::{parse_all_fns, parse_use_decls, test_region_mask};
 /// Why a function is a deterministic root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RootKind {
-    /// The trap-kinetics kernel entry point (`TrapBank::advance_all`).
+    /// A trap-kinetics kernel entry point (`TrapBank::advance_all`, or
+    /// the fleet's cached-decay `TrapBank::advance_range_cached`).
     Kernel,
     /// Invoked inside a `par_map`/`par_map_indexed`/`par_chunks`
     /// argument group (closure body or bare fn reference).
@@ -797,9 +798,9 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
         }
     }
 
-    // The kernel root is declared, not discovered.
+    // The kernel roots are declared, not discovered.
     for (idx, node) in nodes.iter().enumerate() {
-        if node.qualified == "TrapBank::advance_all" {
+        if KERNEL_ROOTS.contains(&node.qualified.as_str()) {
             roots.insert(idx, RootKind::Kernel);
         }
     }
@@ -810,6 +811,11 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
         roots,
     }
 }
+
+/// The trap-kinetics kernel entry points: every experiment's advance
+/// bottoms out in `advance_all`, every cached fleet epoch in
+/// `advance_range_cached`.
+const KERNEL_ROOTS: [&str; 2] = ["TrapBank::advance_all", "TrapBank::advance_range_cached"];
 
 /// Roots that are definitely not workspace crates (std & vendored).
 fn is_external_root(seg: &str) -> bool {

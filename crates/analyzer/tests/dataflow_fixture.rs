@@ -80,6 +80,47 @@ fn tainted_chain_reports_the_exact_call_path() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The fleet's cached-decay kernel is a declared root like
+/// `advance_all`: a clock read under it is a finding even though nothing
+/// par-maps or caches it.
+#[test]
+fn cached_kernel_entry_is_a_declared_root() {
+    let source = "\
+use std::time::Instant;
+pub struct TrapBank;
+impl TrapBank {
+    pub fn advance_range_cached(&mut self) {
+        step();
+    }
+}
+fn step() {
+    let _t = Instant::now();
+}
+";
+    let root = mini_workspace("cached-kernel", source);
+    let flow = workspace_dataflow(&root).expect("analyzable workspace");
+    let tainted: Vec<_> = flow
+        .findings
+        .iter()
+        .filter(|f| f.lint == Lint::TaintedRoot)
+        .collect();
+    assert_eq!(tainted.len(), 1, "findings: {:#?}", flow.findings);
+    assert!(
+        tainted[0].message.contains("kernel entry point"),
+        "message: {}",
+        tainted[0].message
+    );
+    assert_eq!(
+        tainted[0].call_path,
+        vec![
+            "TrapBank::advance_range_cached (crates/mini/src/lib.rs:4)".to_string(),
+            "step (crates/mini/src/lib.rs:8)".to_string(),
+            "sink: Instant::now (crates/mini/src/lib.rs:9)".to_string(),
+        ]
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
 #[test]
 fn trust_annotation_silences_the_chain() {
     let trusted = TAINTED_CHAIN.replace(

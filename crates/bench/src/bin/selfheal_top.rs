@@ -43,6 +43,7 @@ struct Scrape {
     advances: f64,
     steals: f64,
     executed: f64,
+    decay_refreshes: f64,
 }
 
 impl Scrape {
@@ -54,6 +55,7 @@ impl Scrape {
             advances: v("selfheal_bti_td_kernel_advance_calls"),
             steals: v("selfheal_runtime_pool_steals_total"),
             executed: v("selfheal_runtime_pool_jobs_executed_total"),
+            decay_refreshes: v("selfheal_fleet_epoch_decay_refresh_chips"),
         }
     }
 }
@@ -180,7 +182,9 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
 
     // Per-shard epoch time as a heat line: fleet daemons publish
     // selfheal_fleet_shard_<i>_epoch_us for each timed epoch advance,
-    // so a lopsided line means one shard is dragging the barrier.
+    // so a lopsided line means one shard is dragging the barrier. The
+    // decay-refresh rate beside it shows report churn eroding the
+    // epoch decay cache.
     let mut shard_us: Vec<f64> = Vec::new();
     while let Some(v) = value(&format!("selfheal_fleet_shard_{}_epoch_us", shard_us.len())) {
         shard_us.push(v);
@@ -201,9 +205,11 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
             })
             .collect();
         out.push_str(&format!(
-            "\nshards  epoch us {heat}  peak {} over {} shard(s)\n",
+            "\nshards  epoch us {heat}  peak {} over {} shard(s)   decay refreshes/s {} (total {:.0})\n",
             fmt_opt(Some(peak), "us"),
             shard_us.len(),
+            fmt_opt(rate(now.decay_refreshes, previous.decay_refreshes, dt_s), ""),
+            now.decay_refreshes,
         ));
     }
 
@@ -437,9 +443,15 @@ selfheal_slo_stats_p50_burn 0.1
 selfheal_fleet_shard_0_epoch_us 100
 selfheal_fleet_shard_1_epoch_us 800
 selfheal_fleet_shard_2_epoch_us 400
+selfheal_fleet_epoch_decay_refresh_chips 1300
 ";
         let exposition = parse_exposition(text).expect("valid");
-        let frame = render_frame(Path::new("x.prom"), &exposition, &Scrape::default(), false);
+        let previous = Scrape {
+            ts_ns: 1e9,
+            decay_refreshes: 1000.0,
+            ..Scrape::default()
+        };
+        let frame = render_frame(Path::new("x.prom"), &exposition, &previous, false);
         assert!(frame.contains("plan p99"), "{frame}");
         assert!(frame.contains("VIOLATED"), "{frame}");
         assert!(frame.contains("stats p50"), "{frame}");
@@ -447,6 +459,11 @@ selfheal_fleet_shard_2_epoch_us 400
         // 100/800/400 of peak 800 → rounded ramp levels 1, 7, 4.
         assert!(frame.contains("▂█▅"), "{frame}");
         assert!(frame.contains("over 3 shard(s)"), "{frame}");
+        // 300 refreshed chips over the 2 s between scrapes.
+        assert!(
+            frame.contains("decay refreshes/s 150.0 (total 1300)"),
+            "{frame}"
+        );
     }
 
     #[test]

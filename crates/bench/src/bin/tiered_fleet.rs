@@ -15,7 +15,10 @@
 //!
 //! At 100k chips it also checkpoints both aged fleets into a fresh store
 //! and resumes them, recording the save and resume wall time and the
-//! bytes on disk (`*_checkpoint_{save_ms,resume_ms,bytes}_100000`).
+//! bytes on disk (`*_checkpoint_{save_ms,resume_ms,bytes}_100000`), and
+//! times the full fleet's first epoch on its own
+//! (`full_first_epoch_ms_100000`): the one that fills every shard's decay
+//! cache, as after a build or a resume.
 //!
 //! ```text
 //! cargo run -p selfheal-bench --release --bin tiered_fleet -- --json
@@ -53,9 +56,14 @@ fn fleet_config(chips: usize, tiered: bool) -> FleetConfig {
     config
 }
 
-/// Steady-state epoch cost: warm up, then average the timed window.
-fn ms_per_epoch(state: &mut FleetState) -> f64 {
-    for _ in 0..WARMUP_EPOCHS {
+/// Epoch cost of a fresh fleet: the first epoch alone (ms), which fills
+/// every shard's decay cache, then the steady-state average over the
+/// timed window after the warm-up.
+fn ms_per_epoch(state: &mut FleetState) -> (f64, f64) {
+    let started = Instant::now();
+    state.advance_epoch();
+    let first_ms = started.elapsed().as_secs_f64() * 1e3;
+    for _ in 1..WARMUP_EPOCHS {
         state.advance_epoch();
     }
     let started = Instant::now();
@@ -64,7 +72,7 @@ fn ms_per_epoch(state: &mut FleetState) -> f64 {
     }
     #[allow(clippy::cast_precision_loss)]
     let per_epoch = started.elapsed().as_secs_f64() * 1e3 / TIMED_EPOCHS as f64;
-    per_epoch
+    (first_ms, per_epoch)
 }
 
 /// One checkpoint of an aged fleet: save and resume wall time (ms) and
@@ -139,12 +147,12 @@ fn main() {
         let phase = run.phase_named(format!("fleet_{chips}"));
 
         let mut full = FleetState::build(fleet_config(chips, false));
-        let full_ms = ms_per_epoch(&mut full);
+        let (full_first_ms, full_ms) = ms_per_epoch(&mut full);
         let full_cost = (chips == CHECKPOINT_CHIPS).then(|| checkpoint_cost(&full, "full"));
         drop(full);
 
         let mut tiered = FleetState::build(fleet_config(chips, true));
-        let tiered_ms = ms_per_epoch(&mut tiered);
+        let (_, tiered_ms) = ms_per_epoch(&mut tiered);
         let counts = tiered.tier_counts();
         let tiered_cost = (chips == CHECKPOINT_CHIPS).then(|| checkpoint_cost(&tiered, "tiered"));
         drop(tiered);
@@ -167,6 +175,9 @@ fn main() {
                 cost.resume_ms,
             );
             run.value(&format!("{variant}_checkpoint_bytes_{chips}"), cost.bytes);
+        }
+        if chips == CHECKPOINT_CHIPS {
+            run.value(&format!("full_first_epoch_ms_{chips}"), full_first_ms);
         }
 
         let speedup = full_ms / tiered_ms;

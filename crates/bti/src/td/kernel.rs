@@ -21,6 +21,14 @@
 //!    [`advance_all`](TrapBank::advance_all) kernel and a fused
 //!    single-pass [`summary`](TrapBank::summary) reduction replacing the
 //!    three separate iterator passes the AoS layout required.
+//!    The raw sampled emission constant is kept only for permanent traps
+//!    (a side vector in trap order), since every other trap's raw and
+//!    effective constants are equal.
+//! 4. A caller that repeats one step under one condition — a fleet
+//!    epoch — can pay the `exp` once: [`TrapBank::fill_decays`] stores
+//!    each trap's `exp(−dt/τ)` and
+//!    [`TrapBank::advance_range_cached`] then advances from those
+//!    factors with only the rate divisions per trap.
 //!
 //! # Bit-exactness contract
 //!
@@ -42,6 +50,11 @@
 //!   and the result is clamped to `[0, 1]` exactly as before.
 //! * Reductions accumulate in trap index order, so sums match the old
 //!   sequential iterator passes to the last ulp.
+//! * The cached step recomputes `p∞` exactly as
+//!   [`PhaseRates::relaxation`] does and multiplies by the very factor
+//!   `advance_range` would compute for the same `dt`, so it is
+//!   bit-identical to `advance_range`; frozen traps are marked by a
+//!   negative factor, which `exp` never yields, instead of re-deriving τ.
 
 use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds};
@@ -57,6 +70,11 @@ use super::trap::Trap;
 /// surveys, per-chip experiment runs) use this as their version, so a
 /// kernel rewrite orphans stale entries instead of replaying them.
 pub const KERNEL_VERSION: u32 = 3;
+
+/// The decay factor [`TrapBank::fill_decays`] stores for a frozen trap
+/// (infinite τ). `exp` never yields a negative number, so the marker
+/// cannot collide with a live trap's factor, NaN included.
+const FROZEN_DECAY: f64 = -1.0;
 
 /// Fixed chunk width of the advance kernels, in traps.
 ///
@@ -132,17 +150,27 @@ impl PhaseRates {
     /// This is the arithmetic core shared by the scalar path
     /// ([`super::kinetics::occupancy_relaxation`] delegates here) and
     /// the bank kernel, so there is exactly one place the rate math
-    /// lives.
+    /// lives. Always inlined: with four kernels sharing it, an outlined
+    /// call per trap would cost more than the arithmetic.
     #[must_use]
+    #[inline(always)]
     pub fn relaxation(&self, tau_c0: f64, tau_e0: f64) -> (f64, f64) {
-        let capture_rate = self.capture_mult / tau_c0;
-        let emission_rate = self.emission_mult / tau_e0;
-        let total_rate = capture_rate + emission_rate;
+        let (capture_rate, total_rate) = self.capture_and_total(tau_c0, tau_e0);
         if total_rate <= 0.0 {
             // Fully frozen: nothing drives the trap in either direction.
             return (0.0, f64::INFINITY);
         }
         (capture_rate / total_rate, 1.0 / total_rate)
+    }
+
+    /// The capture rate and the total (capture + emission) rate of a
+    /// trap under these rates: the first half of
+    /// [`relaxation`](Self::relaxation).
+    #[inline(always)]
+    fn capture_and_total(&self, tau_c0: f64, tau_e0: f64) -> (f64, f64) {
+        let capture_rate = self.capture_mult / tau_c0;
+        let emission_rate = self.emission_mult / tau_e0;
+        (capture_rate, capture_rate + emission_rate)
     }
 }
 
@@ -220,13 +248,15 @@ pub struct TrapBank {
     /// *Effective* emission time constants (s): the sampled value for
     /// recoverable traps, `f64::INFINITY` for permanent ones.
     tau_e: Vec<f64>,
-    /// The sampled emission time constants (s), kept for round-tripping
-    /// [`Trap`] values out of the bank.
-    tau_e0: Vec<f64>,
     /// Per-trap ΔVth contribution when occupied (mV).
     step_mv: Vec<f64>,
     /// Whether each trap's capture is permanent (never emits).
     permanent: Vec<bool>,
+    /// The sampled emission time constants (s) of the permanent traps
+    /// only, in trap order, kept for round-tripping [`Trap`] values out
+    /// of the bank. A recoverable trap's sampled constant is its
+    /// `tau_e` entry, so only the ~5 % permanent traps need a copy.
+    permanent_tau_e0: Vec<f64>,
     /// Current capture probability of each trap, in `[0, 1]`.
     occupancy: Vec<f64>,
 }
@@ -238,27 +268,24 @@ impl TrapBank {
         TrapBank::default()
     }
 
-    /// Builds a bank from materialized traps, preserving order.
+    /// Builds a bank from materialized traps, preserving order. Every
+    /// column is allocated at its exact final size.
     #[must_use]
     pub fn from_traps(traps: &[Trap]) -> TrapBank {
-        let mut bank = TrapBank::with_capacity(traps.len());
+        let n = traps.len();
+        let permanent = traps.iter().filter(|trap| trap.is_permanent()).count();
+        let mut bank = TrapBank {
+            tau_c0: Vec::with_capacity(n),
+            tau_e: Vec::with_capacity(n),
+            step_mv: Vec::with_capacity(n),
+            permanent: Vec::with_capacity(n),
+            permanent_tau_e0: Vec::with_capacity(permanent),
+            occupancy: Vec::with_capacity(n),
+        };
         for trap in traps {
             bank.push(*trap);
         }
         bank
-    }
-
-    /// An empty bank with room for `capacity` traps.
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> TrapBank {
-        TrapBank {
-            tau_c0: Vec::with_capacity(capacity),
-            tau_e: Vec::with_capacity(capacity),
-            tau_e0: Vec::with_capacity(capacity),
-            step_mv: Vec::with_capacity(capacity),
-            permanent: Vec::with_capacity(capacity),
-            occupancy: Vec::with_capacity(capacity),
-        }
     }
 
     /// Appends one trap to the bank.
@@ -267,7 +294,9 @@ impl TrapBank {
         // `tau_e0()` already applies the permanent-trap freeze (INFINITY),
         // which is what makes the advance kernel branch-free on that axis.
         self.tau_e.push(trap.tau_e0().get());
-        self.tau_e0.push(trap.tau_e0_raw().get());
+        if trap.is_permanent() {
+            self.permanent_tau_e0.push(trap.tau_e0_raw().get());
+        }
         self.step_mv.push(trap.delta_vth_step().get());
         self.permanent.push(trap.is_permanent());
         self.occupancy.push(trap.occupancy());
@@ -279,17 +308,21 @@ impl TrapBank {
         self.occupancy.len()
     }
 
-    /// Traps the bank holds without reallocating: the smallest capacity
-    /// among its arrays.
+    /// Traps the bank is sure to hold without reallocating: the smallest
+    /// capacity among its per-trap columns, and no more than the
+    /// permanent-trap side vector's spare room allows were every further
+    /// trap permanent. A bank with no spare room anywhere reports
+    /// exactly its [`len`](TrapBank::len).
     #[must_use]
     pub fn capacity(&self) -> usize {
+        let side_spare = self.permanent_tau_e0.capacity() - self.permanent_tau_e0.len();
         [
             self.tau_c0.capacity(),
             self.tau_e.capacity(),
-            self.tau_e0.capacity(),
             self.step_mv.capacity(),
             self.permanent.capacity(),
             self.occupancy.capacity(),
+            self.len() + side_spare,
         ]
         .into_iter()
         .min()
@@ -303,26 +336,35 @@ impl TrapBank {
     }
 
     /// Materializes trap `index`, or `None` past the end.
+    ///
+    /// A permanent trap's sampled emission constant sits in the side
+    /// vector at its rank among the permanent traps, which costs a scan
+    /// of the `permanent` flags before it; walk whole ranges with
+    /// [`iter_range`](TrapBank::iter_range) instead.
     #[must_use]
     pub fn get(&self, index: usize) -> Option<Trap> {
-        if index >= self.len() {
-            return None;
-        }
-        Some(Trap::restore(
-            Seconds::new(self.tau_c0[index]),
-            Seconds::new(self.tau_e0[index]),
-            Millivolts::new(self.step_mv[index]),
-            self.permanent[index],
-            self.occupancy[index],
-        ))
+        self.iter_range(index..index.saturating_add(1)).next()
     }
 
     /// Iterates the bank as materialized [`Trap`] values, in order.
     #[must_use]
     pub fn iter(&self) -> TrapIter<'_> {
+        self.iter_range(0..self.len())
+    }
+
+    /// Iterates the traps in `range` as materialized [`Trap`] values, in
+    /// order: one scan of the `permanent` flags before the range, then
+    /// O(1) per trap. A range reaching past the bank stops at its end.
+    #[must_use]
+    pub fn iter_range(&self, range: std::ops::Range<usize>) -> TrapIter<'_> {
+        let end = range.end.min(self.len());
+        let index = range.start.min(end);
+        let permanent_seen = self.permanent[..index].iter().filter(|&&p| p).count();
         TrapIter {
             bank: self,
-            index: 0,
+            index,
+            end,
+            permanent_seen,
         }
     }
 
@@ -387,6 +429,122 @@ impl TrapBank {
                 &mut occupied_before,
                 &mut occupied_after,
             );
+        }
+        AdvanceStats {
+            occupied_before,
+            occupied_after,
+        }
+    }
+
+    /// Writes each trap's one-step decay factor `exp(−dt/τ)` under
+    /// `rates` for the traps in `range` into `out`: the `exp` half of an
+    /// [`advance_range`](TrapBank::advance_range) step, which depends only
+    /// on the rates and the step length, never on occupancy. A frozen
+    /// trap (infinite τ) gets a negative factor, which tells
+    /// [`advance_range_cached`](TrapBank::advance_range_cached) to leave
+    /// it untouched without re-deriving τ.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the bank, if `out` is not exactly
+    /// `range.len()` long, or if `dt` is not positive — a non-positive
+    /// step is a frozen no-op that no decay factor reproduces.
+    pub fn fill_decays(
+        &self,
+        range: std::ops::Range<usize>,
+        rates: &PhaseRates,
+        dt: Seconds,
+        out: &mut [f64],
+    ) {
+        assert!(range.end <= self.occupancy.len(), "range out of bounds");
+        assert_eq!(out.len(), range.len(), "one decay per trap in range");
+        assert!(!dt.is_zero_or_negative(), "decays need a positive step");
+        let neg_dt = -dt.get();
+        let tau_c0 = &self.tau_c0[range.clone()];
+        let tau_e = &self.tau_e[range];
+        for ((decay, &tau_c0), &tau_e) in out.iter_mut().zip(tau_c0).zip(tau_e) {
+            let (_, tau) = rates.relaxation(tau_c0, tau_e);
+            *decay = if tau.is_infinite() {
+                FROZEN_DECAY
+            } else {
+                (neg_dt / tau).exp()
+            };
+        }
+    }
+
+    /// Advances the traps in `range` by one step whose decay factors were
+    /// precomputed by [`fill_decays`](TrapBank::fill_decays) under the
+    /// same `rates`: `clamp(p∞ + (p − p∞)·decay, 0, 1)`, with `p∞`
+    /// recomputed by [`PhaseRates::relaxation`]'s arithmetic and frozen
+    /// traps (negative decay) left untouched.
+    ///
+    /// Under a fixed condition a step is a fixed affine map per trap, so
+    /// a caller that repeats the same step (a fleet epoch) pays the `exp`
+    /// and the `1/total` division once and then three divisions per trap
+    /// and step. Occupancies and
+    /// [`AdvanceStats`] are bit-identical to `advance_range(range, rates,
+    /// dt)` with the `dt` the decays were filled for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the bank or `decays` is not exactly
+    /// `range.len()` long.
+    pub fn advance_range_cached(
+        &mut self,
+        range: std::ops::Range<usize>,
+        rates: &PhaseRates,
+        decays: &[f64],
+    ) -> AdvanceStats {
+        assert!(range.end <= self.occupancy.len(), "range out of bounds");
+        assert_eq!(decays.len(), range.len(), "one decay per trap in range");
+        let tau_c0 = &self.tau_c0[range.clone()];
+        let tau_e = &self.tau_e[range.clone()];
+        let occupancy = &mut self.occupancy[range];
+        // -0.0 starts for `Iterator::sum` parity — see `advance_range`.
+        let mut occupied_before = -0.0;
+        let mut occupied_after = -0.0;
+        let step = |p: f64, tau_c0: f64, tau_e: f64, decay: f64| {
+            // A live trap has a positive total rate, so this is exactly
+            // `relaxation`'s p∞; a frozen one discards it.
+            let (capture_rate, total_rate) = rates.capture_and_total(tau_c0, tau_e);
+            let p_inf = capture_rate / total_rate;
+            if decay < 0.0 {
+                p
+            } else {
+                (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0)
+            }
+        };
+        // Fixed-size lane blocks carry no bounds checks, so the lanes'
+        // divisions vectorize; sums still accumulate in trap order.
+        let (occ_blocks, occ_tail) = occupancy.as_chunks_mut::<LANES>();
+        let (tc_blocks, tc_tail) = tau_c0.as_chunks::<LANES>();
+        let (te_blocks, te_tail) = tau_e.as_chunks::<LANES>();
+        let (decay_blocks, decay_tail) = decays.as_chunks::<LANES>();
+        for (((occ, tc), te), decay) in occ_blocks
+            .iter_mut()
+            .zip(tc_blocks)
+            .zip(te_blocks)
+            .zip(decay_blocks)
+        {
+            let mut next = [0.0f64; LANES];
+            for j in 0..LANES {
+                next[j] = step(occ[j], tc[j], te[j], decay[j]);
+            }
+            for j in 0..LANES {
+                occupied_before += occ[j];
+                occupied_after += next[j];
+            }
+            *occ = next;
+        }
+        for (((p, &tc), &te), &decay) in occ_tail
+            .iter_mut()
+            .zip(tc_tail)
+            .zip(te_tail)
+            .zip(decay_tail)
+        {
+            occupied_before += *p;
+            *p = step(*p, tc, te, decay);
+            occupied_after += *p;
         }
         AdvanceStats {
             occupied_before,
@@ -624,19 +782,38 @@ impl<'a> IntoIterator for &'a TrapBank {
 pub struct TrapIter<'a> {
     bank: &'a TrapBank,
     index: usize,
+    end: usize,
+    /// Permanent traps before `index`: the cursor into the side vector.
+    permanent_seen: usize,
 }
 
 impl Iterator for TrapIter<'_> {
     type Item = Trap;
 
     fn next(&mut self) -> Option<Trap> {
-        let trap = self.bank.get(self.index)?;
+        if self.index >= self.end {
+            return None;
+        }
+        let bank = self.bank;
+        let i = self.index;
+        let tau_e0 = if bank.permanent[i] {
+            self.permanent_seen += 1;
+            bank.permanent_tau_e0[self.permanent_seen - 1]
+        } else {
+            bank.tau_e[i]
+        };
         self.index += 1;
-        Some(trap)
+        Some(Trap::restore(
+            Seconds::new(bank.tau_c0[i]),
+            Seconds::new(tau_e0),
+            Millivolts::new(bank.step_mv[i]),
+            bank.permanent[i],
+            bank.occupancy[i],
+        ))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let remaining = self.bank.len().saturating_sub(self.index);
+        let remaining = self.end - self.index;
         (remaining, Some(remaining))
     }
 }
@@ -691,6 +868,128 @@ mod tests {
         assert_eq!(bank.len(), traps.len());
         let back: Vec<Trap> = bank.iter().collect();
         assert_eq!(back, traps);
+    }
+
+    /// Permanent traps keep their sampled emission constant in the side
+    /// vector; every way out of the bank must still materialise the
+    /// exact traps that went in, the `τe = ∞` recoverable trap included.
+    #[test]
+    fn permanent_traps_materialise_exactly() {
+        let traps: Vec<Trap> = (0..7)
+            .flat_map(|i| {
+                let mut chip = sample_traps();
+                chip.push(Trap::restore(
+                    Seconds::new(1e5),
+                    Seconds::new(f64::from(i) + 2.5),
+                    Millivolts::new(0.4),
+                    true,
+                    0.5,
+                ));
+                let shift = i as usize % chip.len();
+                chip.rotate_left(shift);
+                chip
+            })
+            .collect();
+        let bank = TrapBank::from_traps(&traps);
+        assert_eq!(bank.iter().collect::<Vec<_>>(), traps);
+        for (i, trap) in traps.iter().enumerate() {
+            assert_eq!(bank.get(i), Some(*trap), "trap {i}");
+        }
+        assert_eq!(bank.get(traps.len()), None);
+        assert_eq!(bank.iter_range(5..13).collect::<Vec<_>>(), traps[5..13]);
+        assert_eq!(bank.iter_range(20..usize::MAX).len(), traps.len() - 20);
+    }
+
+    #[test]
+    fn from_traps_sizes_every_column_exactly() {
+        let traps = sample_traps();
+        let bank = TrapBank::from_traps(&traps);
+        assert_eq!(bank.permanent_tau_e0.len(), 1);
+        assert_eq!(bank.permanent_tau_e0.capacity(), 1);
+        assert_eq!(bank.capacity(), bank.len());
+        // Spare room in the side vector bounds the capacity too.
+        let mut roomy = bank.clone();
+        roomy.tau_c0.reserve(64);
+        roomy.tau_e.reserve(64);
+        roomy.step_mv.reserve(64);
+        roomy.permanent.reserve(64);
+        roomy.occupancy.reserve(64);
+        let side_spare = roomy.permanent_tau_e0.capacity() - roomy.permanent_tau_e0.len();
+        assert_eq!(roomy.capacity(), roomy.len() + side_spare);
+    }
+
+    /// The τ grid of `tests/kernel_equivalence.rs`: denormal-adjacent to
+    /// `f64::MAX` capture constants, `tau_e0 = ∞` emitters, permanent and
+    /// recoverable, so the frozen branches (zero total rate, infinite τ)
+    /// are all present.
+    fn tau_grid_traps(occupancy_seed: f64) -> Vec<Trap> {
+        let mut traps = Vec::new();
+        for &tau_c0 in &[1e-300, 1e-12, 1.0, 1e12, 1e300, f64::MAX] {
+            for &tau_e0 in &[1e-12, 1.0, 1e12, f64::INFINITY] {
+                for permanent in [false, true] {
+                    #[allow(clippy::cast_precision_loss)]
+                    let occupancy =
+                        (occupancy_seed + traps.len() as f64 * 0.618_033_988_749_895).fract();
+                    traps.push(Trap::restore(
+                        Seconds::new(tau_c0),
+                        Seconds::new(tau_e0),
+                        Millivolts::new(0.35),
+                        permanent,
+                        occupancy,
+                    ));
+                }
+            }
+        }
+        traps
+    }
+
+    #[test]
+    fn cached_advance_matches_advance_range_bitwise() {
+        let ac = DeviceCondition::ac_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
+        let frozen =
+            DeviceCondition::recovery(Environment::new(Volts::new(0.0), Celsius::new(20.0)));
+        let traps = tau_grid_traps(0.25);
+        let mut grid_slots = 0;
+        for cond in [stress(), recovery(), ac, frozen] {
+            let rates = PhaseRates::for_condition(cond);
+            for dt in [1e-9, 1.0, 3600.0, 1e9] {
+                let dt = Seconds::new(dt);
+                for len in [0, 1, LANES - 1, LANES, LANES + 1, traps.len() - 3] {
+                    for start in [0, 3] {
+                        let range = start..start + len;
+                        let mut want = TrapBank::from_traps(&traps);
+                        let mut got = want.clone();
+                        let mut decays = vec![0.0; len];
+                        got.fill_decays(range.clone(), &rates, dt, &mut decays);
+                        // Two steps: the cached factors are reused as-is.
+                        for step in 0..2 {
+                            let want_stats = want.advance_range(range.clone(), &rates, dt);
+                            let got_stats =
+                                got.advance_range_cached(range.clone(), &rates, &decays);
+                            let context =
+                                format!("{cond:?} dt={dt} len={len} start={start} step={step}");
+                            for (i, (w, g)) in
+                                want.occupancies().iter().zip(got.occupancies()).enumerate()
+                            {
+                                assert_eq!(w.to_bits(), g.to_bits(), "{context}: trap {i}");
+                            }
+                            assert_eq!(
+                                want_stats.occupied_before.to_bits(),
+                                got_stats.occupied_before.to_bits(),
+                                "{context}"
+                            );
+                            assert_eq!(
+                                want_stats.occupied_after.to_bits(),
+                                got_stats.occupied_after.to_bits(),
+                                "{context}"
+                            );
+                        }
+                        grid_slots += decays.iter().filter(|&&d| d < 0.0).count();
+                    }
+                }
+            }
+        }
+        assert!(grid_slots > 0, "the grid must exercise frozen traps");
     }
 
     #[test]

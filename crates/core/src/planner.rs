@@ -238,7 +238,7 @@ impl SchedulePlanner {
         cond: DeviceCondition,
         dt: Seconds,
     ) -> Millivolts {
-        let traps: Vec<_> = range.filter_map(|i| bank.get(i)).collect();
+        let traps: Vec<_> = bank.iter_range(range).collect();
         let mut projection = TrapBank::from_traps(&traps);
         projection.advance_all(&PhaseRates::for_condition(cond), dt);
         projection.summary().delta_vth

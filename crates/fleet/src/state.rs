@@ -48,6 +48,61 @@ pub struct Shard {
     pub chips: Vec<ChipSlot>,
     /// The concatenated trap state of every chip in the shard.
     pub bank: TrapBank,
+    /// Each trap's epoch decay, reused while its chip's duty holds.
+    decays: DecayCache,
+}
+
+/// The per-trap epoch decays `exp(−epoch_dt/τ)` of a shard's bank.
+///
+/// A decay depends only on the trap, the chip's condition and the epoch
+/// length — never on occupancy. The environment and the epoch length are
+/// fixed for a fleet's life, so each chip's block is keyed by the duty it
+/// was computed for and recomputed only when the chip's duty no longer
+/// matches. That makes every mutation path (`fold_report`, checkpoint
+/// `overlay`) correct without invalidation hooks.
+#[derive(Debug, Clone, Default)]
+struct DecayCache {
+    /// One decay per trap of the bank; empty until the shard's first
+    /// epoch, so a freshly built or resumed fleet does not carry it.
+    decay: Vec<f64>,
+    /// Per chip: the duty bits its block was computed for, or
+    /// [`STALE`] before its first computation.
+    duty_bits: Vec<u64>,
+}
+
+/// The key of a block never computed: the bits of a NaN, which no
+/// reported duty holds (reports carry JSON numbers, and `DutyCycle`
+/// clamps them into `[0, 1]`).
+const STALE: u64 = u64::MAX;
+
+impl DecayCache {
+    /// Allocates the cache for `bank` on first use, every block stale.
+    fn ensure(&mut self, bank: &TrapBank, chips: usize) {
+        if self.duty_bits.len() != chips {
+            self.decay = vec![0.0; bank.len()];
+            self.duty_bits = vec![STALE; chips];
+        }
+    }
+
+    /// Recomputes chip `local`'s block unless it was computed for the
+    /// chip's current duty. Returns whether it recomputed.
+    fn refresh(
+        &mut self,
+        bank: &TrapBank,
+        local: usize,
+        chip: &ChipSlot,
+        rates: &PhaseRates,
+        dt: Seconds,
+    ) -> bool {
+        let key = chip.duty.get().to_bits();
+        if self.duty_bits[local] == key {
+            return false;
+        }
+        let traps = chip.traps.clone();
+        bank.fill_decays(traps.clone(), rates, dt, &mut self.decay[traps]);
+        self.duty_bits[local] = key;
+        true
+    }
 }
 
 impl Shard {
@@ -77,14 +132,22 @@ impl Shard {
             first_chip: chip_range.start,
             chips,
             bank: TrapBank::from_traps(&traps),
+            decays: DecayCache::default(),
         }
     }
 
     /// Advances every chip in the shard by `dt` under its own observed
     /// duty cycle at the fleet's active environment, into epoch
-    /// `epoch_end`. A per-shard [`PhaseRateCache`] keeps the common case
+    /// `epoch_end`, and returns how many chips' decay blocks it had to
+    /// recompute. A per-shard [`PhaseRateCache`] keeps the common case
     /// (most chips still at the default duty) at one rate computation
     /// per distinct condition.
+    ///
+    /// Full-resolution chips advance from the shard's cached decays
+    /// ([`TrapBank::advance_range_cached`]), so an epoch pays no `exp`
+    /// except for chips whose duty changed since their block was
+    /// computed (and every chip on the shard's first epoch). Untiered,
+    /// runs of consecutive same-duty chips advance as one range.
     ///
     /// With a [`TierPolicy`] in force, cold chips cost one integer
     /// comparison: their occupancies stay frozen until `epoch_end`
@@ -99,19 +162,38 @@ impl Shard {
         dt: Seconds,
         epoch_end: u64,
         policy: Option<&TierPolicy>,
-    ) {
+    ) -> usize {
         let mut rates = PhaseRateCache::new();
-        let Shard { chips, bank, .. } = self;
+        let Shard {
+            chips,
+            bank,
+            decays,
+            ..
+        } = self;
+        decays.ensure(bank, chips.len());
+        let mut refreshed = 0;
         let Some(policy) = policy else {
-            // Untiered: every chip advances at full resolution.
-            for chip in chips.iter_mut() {
-                let cond = DeviceCondition::new(config.active_env, chip.duty);
-                let phase = rates.rates(cond);
-                bank.advance_range(chip.traps.clone(), &phase, dt);
+            // Untiered: every chip advances at full resolution, one run
+            // of consecutive same-duty chips at a time.
+            let mut start = 0;
+            while start < chips.len() {
+                let duty = chips[start].duty;
+                let end = start
+                    + chips[start..]
+                        .iter()
+                        .take_while(|chip| chip.duty.get().to_bits() == duty.get().to_bits())
+                        .count();
+                let phase = rates.rates(DeviceCondition::new(config.active_env, duty));
+                for (local, chip) in (start..end).zip(&chips[start..end]) {
+                    refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
+                }
+                let traps = chips[start].traps.start..chips[end - 1].traps.end;
+                bank.advance_range_cached(traps.clone(), &phase, &decays.decay[traps]);
+                start = end;
             }
-            return;
+            return refreshed;
         };
-        for chip in chips.iter_mut() {
+        for (local, chip) in chips.iter_mut().enumerate() {
             // The tier check comes first: at steady state almost every
             // chip is cold, and a cold epoch must stay at one integer
             // compare per chip — no condition or rate lookups.
@@ -124,7 +206,8 @@ impl Shard {
                     // fused step. The window's mean rate is already the
                     // upper bound demotion needs, so the chip can go
                     // straight back to sleep instead of burning a hot
-                    // epoch.
+                    // epoch. The window's length varies, so this step
+                    // bypasses the decay cache.
                     let anchor = cold.anchor;
                     let window = epoch_end.saturating_sub(cold.since_epoch).max(1);
                     let elapsed = policy.cold_elapsed(cold, epoch_end);
@@ -145,7 +228,9 @@ impl Shard {
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let previous = bank.summary_range(chip.traps.clone()).delta_vth;
                     let phase = rates.rates(cond);
-                    bank.advance_range(chip.traps.clone(), &phase, dt);
+                    refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
+                    let traps = chip.traps.clone();
+                    bank.advance_range_cached(traps.clone(), &phase, &decays.decay[traps]);
                     let current = bank.summary_range(chip.traps.clone()).delta_vth;
                     if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end)
                     {
@@ -155,10 +240,13 @@ impl Shard {
                 ChipTier::Pinned => {
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let phase = rates.rates(cond);
-                    bank.advance_range(chip.traps.clone(), &phase, dt);
+                    refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
+                    let traps = chip.traps.clone();
+                    bank.advance_range_cached(traps.clone(), &phase, &decays.decay[traps]);
                 }
             }
         }
+        refreshed
     }
 
     /// The chip's consumed margin as recorded in the bank: the ΔVth of
@@ -266,14 +354,14 @@ impl FleetState {
         let epoch_end = self.epoch + 1;
         let shards = std::mem::take(&mut self.shards);
         let timing = selfheal_telemetry::metrics::enabled();
-        self.shards = par_map_indexed(shards, move |index, mut shard| {
+        let advanced = par_map_indexed(shards, move |index, mut shard| {
             // Per-shard wall time as heat gauges: under the tiered
             // integrator shard costs diverge (hot-chip-heavy shards pay
             // per-trap resolution), and straggler shards bound epoch
             // latency. The clock is telemetry-only — the advance itself
             // is identical with timing off.
             let started = timing.then(selfheal_telemetry::trace_epoch_ns);
-            shard.advance(&config, dt, epoch_end, policy.as_ref());
+            let refreshed = shard.advance(&config, dt, epoch_end, policy.as_ref());
             if let Some(started) = started {
                 let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
                 #[allow(clippy::cast_precision_loss)]
@@ -282,8 +370,15 @@ impl FleetState {
                     elapsed_ns as f64 / 1e3,
                 );
             }
-            shard
+            (shard, refreshed)
         });
+        let (shards, refreshed): (Vec<Shard>, Vec<usize>) = advanced.into_iter().unzip();
+        self.shards = shards;
+        // Chips whose decays were recomputed: all of them on the first
+        // epoch after a build or resume, then only report churn.
+        #[allow(clippy::cast_precision_loss)]
+        let refreshed = refreshed.iter().sum::<usize>() as f64;
+        selfheal_telemetry::counter!("fleet.epoch.decay_refresh_chips", refreshed);
         self.epoch = epoch_end;
     }
 
@@ -639,8 +734,146 @@ mod tests {
     #[test]
     fn sampled_banks_have_no_spare_capacity() {
         let fleet = FleetState::build(tiny_config());
+        // The permanent-trap side vector is part of the capacity, so the
+        // banks must actually hold some permanent traps for this to bite.
+        assert!(fleet
+            .shards()
+            .iter()
+            .any(|shard| shard.bank.iter().any(|trap| trap.is_permanent())));
         for shard in fleet.shards() {
             assert_eq!(shard.bank.capacity(), shard.bank.len());
+        }
+    }
+
+    #[test]
+    fn decays_refresh_on_first_epoch_and_duty_changes_only() {
+        let config = tiny_config();
+        let mut fleet = FleetState::build(config.clone());
+        assert!(
+            fleet
+                .shards
+                .iter()
+                .all(|shard| shard.decays.decay.is_empty()),
+            "a built fleet carries no decay column until its first epoch"
+        );
+        let epoch = |fleet: &mut FleetState| -> usize {
+            let epoch_end = fleet.epoch + 1;
+            fleet.epoch = epoch_end;
+            fleet
+                .shards
+                .iter_mut()
+                .map(|shard| shard.advance(&config, config.epoch_dt, epoch_end, None))
+                .sum()
+        };
+        assert_eq!(epoch(&mut fleet), 10, "every chip on the first epoch");
+        assert_eq!(epoch(&mut fleet), 0);
+        assert!(fleet.fold_report(4, DutyCycle::new(0.25)));
+        assert!(fleet.fold_report(5, DutyCycle::new(0.25)));
+        assert_eq!(epoch(&mut fleet), 2, "only the reported chips");
+        assert!(fleet.fold_report(4, DutyCycle::new(0.25)));
+        assert_eq!(epoch(&mut fleet), 0, "an unchanged duty keeps its block");
+    }
+
+    /// The epoch advance without the decay cache: every full-resolution
+    /// chip steps through `advance_range`, one chip at a time.
+    fn advance_epoch_uncached(fleet: &mut FleetState) {
+        let config = fleet.config.clone();
+        let dt = config.epoch_dt;
+        let policy = config.tier_policy();
+        let epoch_end = fleet.epoch + 1;
+        for shard in &mut fleet.shards {
+            let Shard { chips, bank, .. } = shard;
+            for chip in chips.iter_mut() {
+                let cond = DeviceCondition::new(config.active_env, chip.duty);
+                let rates = PhaseRates::for_condition(cond);
+                let traps = chip.traps.clone();
+                let Some(policy) = &policy else {
+                    bank.advance_range(traps, &rates, dt);
+                    continue;
+                };
+                match chip.tier {
+                    ChipTier::Cold(cold) => {
+                        if !policy.should_wake(&cold, epoch_end) {
+                            continue;
+                        }
+                        let window = epoch_end.saturating_sub(cold.since_epoch).max(1);
+                        let elapsed = policy.cold_elapsed(&cold, epoch_end);
+                        bank.advance_range(traps.clone(), &rates, elapsed);
+                        let current = bank.summary_range(traps).delta_vth;
+                        chip.tier = policy
+                            .try_demote(cold.anchor, current, window, cond, epoch_end)
+                            .map_or(ChipTier::Hot, ChipTier::Cold);
+                    }
+                    ChipTier::Hot => {
+                        let previous = bank.summary_range(traps.clone()).delta_vth;
+                        bank.advance_range(traps.clone(), &rates, dt);
+                        let current = bank.summary_range(traps).delta_vth;
+                        if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end)
+                        {
+                            chip.tier = ChipTier::Cold(cold);
+                        }
+                    }
+                    ChipTier::Pinned => {
+                        bank.advance_range(traps, &rates, dt);
+                    }
+                }
+            }
+        }
+        fleet.epoch = epoch_end;
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// Cached epochs with report churn (duty 0 included) and a
+        /// checkpoint save → resume halfway land on the same state digest
+        /// as the uncached reference, tiered and untiered.
+        #[test]
+        fn cached_epochs_match_the_uncached_reference(
+            seed in 0u64..1_000_000,
+            tiered in 0usize..2,
+        ) {
+            use rand::Rng;
+            const EPOCHS: u64 = 30;
+            let mut config = FleetConfig::default();
+            config.chips = 3_000;
+            config.shards = 5;
+            config.seed = seed;
+            config.trap_params.mean_trap_count = 8.0;
+            config.tiered = tiered == 1;
+            config.guard_band = Millivolts::new(10.0);
+            let mut cached = FleetState::build(config.clone());
+            let mut reference = FleetState::build(config.clone());
+            let reports = SeedSequence::new(seed ^ 0x5eed);
+            let store = std::env::temp_dir().join(format!(
+                "selfheal-fleet-decay-{}-{seed}-{tiered}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&store);
+            let cache = selfheal_runtime::ResultCache::at(store.clone());
+            for epoch in 0..EPOCHS {
+                let mut rng = reports.rng(epoch);
+                for _ in 0..rng.gen_range(0..40) {
+                    let chip = rng.gen_range(0..config.chips);
+                    let duty = match rng.gen_range(0..4) {
+                        0 => 0.0,
+                        1 => 1.0,
+                        _ => rng.gen_range(0.0..1.0),
+                    };
+                    cached.fold_report(chip, DutyCycle::new(duty));
+                    reference.fold_report(chip, DutyCycle::new(duty));
+                }
+                cached.advance_epoch();
+                advance_epoch_uncached(&mut reference);
+                if epoch == EPOCHS / 2 {
+                    let saved = crate::checkpoint::save(&cache, &cached);
+                    cached = crate::checkpoint::resume(&cache, &config)
+                        .expect("the checkpoint just saved resumes");
+                    proptest::prop_assert_eq!(saved, Some(cached.state_digest()));
+                }
+            }
+            let _ = std::fs::remove_dir_all(&store);
+            proptest::prop_assert_eq!(cached.state_digest(), reference.state_digest());
         }
     }
 

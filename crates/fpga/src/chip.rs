@@ -151,8 +151,17 @@ impl Chip {
             cut_delay: self.counter.delay_of_count(mean),
         };
         telemetry::counter!("fpga.chip.measurements", 1.0);
-        telemetry::gauge!("fpga.chip.ro_frequency_mhz", measurement.frequency.get() / 1e6);
-        telemetry::gauge!("fpga.chip.cut_delay_ns", measurement.cut_delay.get());
+        // Keyed by chip: chips are measured on concurrent pool jobs, and
+        // one shared gauge would hold whichever job finished last.
+        let chip = self.id.get();
+        telemetry::gauge!(
+            &format!("fpga.chip.{chip}.ro_frequency_mhz"),
+            measurement.frequency.get() / 1e6
+        );
+        telemetry::gauge!(
+            &format!("fpga.chip.{chip}.cut_delay_ns"),
+            measurement.cut_delay.get()
+        );
         telemetry::event!(
             "fpga.chip.measure",
             chip = self.id.get(),

@@ -121,6 +121,8 @@ wait "$FLEETD_PID"
 target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom"
 grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
+grep -q '^selfheal_fleet_epoch_decay_refresh_chips' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no decay-refresh counter" >&2; exit 1; }
 # A stale status file (dead writer) must now fail the checker.
 touch -d '10 minutes ago' "$SMOKE_DIR/fleet.prom"
 if target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom" 2>/dev/null; then
