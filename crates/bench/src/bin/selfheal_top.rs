@@ -184,7 +184,8 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
     // selfheal_fleet_shard_<i>_epoch_us for each timed epoch advance,
     // so a lopsided line means one shard is dragging the barrier. The
     // decay-refresh rate beside it shows report churn eroding the
-    // epoch decay cache.
+    // epoch decay cache, and the last checkpoint save what the state
+    // thread last stalled for.
     let mut shard_us: Vec<f64> = Vec::new();
     while let Some(v) = value(&format!("selfheal_fleet_shard_{}_epoch_us", shard_us.len())) {
         shard_us.push(v);
@@ -205,12 +206,23 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
             })
             .collect();
         out.push_str(&format!(
-            "\nshards  epoch us {heat}  peak {} over {} shard(s)   decay refreshes/s {} (total {:.0})\n",
+            "\nshards  epoch us {heat}  peak {} over {} shard(s)   decay refreshes/s {} (total {:.0})",
             fmt_opt(Some(peak), "us"),
             shard_us.len(),
             fmt_opt(rate(now.decay_refreshes, previous.decay_refreshes, dt_s), ""),
             now.decay_refreshes,
         ));
+        if let Some(ms) = value("selfheal_fleet_checkpoint_ms") {
+            out.push_str(&format!(
+                "   last save {} {}",
+                fmt_opt(Some(ms), "ms"),
+                fmt_opt(
+                    value("selfheal_fleet_checkpoint_bytes").map(|b| b / 1e6),
+                    "MB"
+                ),
+            ));
+        }
+        out.push('\n');
     }
 
     // Every exported histogram family: count + bucket-derived p50/p99.
@@ -444,6 +456,8 @@ selfheal_fleet_shard_0_epoch_us 100
 selfheal_fleet_shard_1_epoch_us 800
 selfheal_fleet_shard_2_epoch_us 400
 selfheal_fleet_epoch_decay_refresh_chips 1300
+selfheal_fleet_checkpoint_ms 41.25
+selfheal_fleet_checkpoint_bytes 14600000
 ";
         let exposition = parse_exposition(text).expect("valid");
         let previous = Scrape {
@@ -461,7 +475,7 @@ selfheal_fleet_epoch_decay_refresh_chips 1300
         assert!(frame.contains("over 3 shard(s)"), "{frame}");
         // 300 refreshed chips over the 2 s between scrapes.
         assert!(
-            frame.contains("decay refreshes/s 150.0 (total 1300)"),
+            frame.contains("decay refreshes/s 150.0 (total 1300)   last save 41.2ms 14.6MB\n"),
             "{frame}"
         );
     }

@@ -24,11 +24,10 @@
 //! cargo run -p selfheal-bench --release --bin tiered_fleet -- --json
 //! ```
 
-use std::path::Path;
 use std::time::Instant;
 
 use selfheal_bench::{fmt, BenchRun, Table};
-use selfheal_fleet::checkpoint::{self, CHECKPOINT_NAMESPACE};
+use selfheal_fleet::checkpoint;
 use selfheal_fleet::{FleetConfig, FleetState};
 use selfheal_runtime::ResultCache;
 
@@ -93,40 +92,25 @@ fn checkpoint_cost(state: &FleetState, tag: &str) -> CheckpointCost {
     let _ = std::fs::remove_dir_all(&store);
     let cache = ResultCache::at(store.clone());
     let started = Instant::now();
-    let saved = checkpoint::save(&cache, state);
+    let saved = checkpoint::save(&cache, state).expect("the checkpoint store is active");
     let save_ms = started.elapsed().as_secs_f64() * 1e3;
     let started = Instant::now();
     let resumed = checkpoint::resume(&cache, state.config());
     let resume_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert!(saved.is_some(), "the checkpoint store must be writable");
+    assert!(saved.bytes > 0, "the checkpoint store must be writable");
     assert_eq!(
         resumed.map(|fleet| fleet.state_digest()),
-        saved,
+        Some(saved.state_digest),
         "the {tag} fleet must resume bit-identically"
     );
-    let bytes = dir_bytes(&store.join(CHECKPOINT_NAMESPACE));
+    #[allow(clippy::cast_precision_loss)]
+    let bytes = saved.bytes as f64;
     let _ = std::fs::remove_dir_all(&store);
     CheckpointCost {
         save_ms,
         resume_ms,
         bytes,
     }
-}
-
-/// Total size of the files in `dir`.
-fn dir_bytes(dir: &Path) -> f64 {
-    let total: u64 = std::fs::read_dir(dir)
-        .map(|entries| {
-            entries
-                .flatten()
-                .filter_map(|entry| entry.metadata().ok())
-                .map(|meta| meta.len())
-                .sum()
-        })
-        .unwrap_or(0);
-    #[allow(clippy::cast_precision_loss)]
-    let total = total as f64;
-    total
 }
 
 fn main() {

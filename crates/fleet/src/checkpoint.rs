@@ -10,8 +10,18 @@
 //! The bulk arrays are *packed*: each shard's occupancies, duties and
 //! tiers are one lowercase-hex string of little-endian bytes (see
 //! [`FleetCheckpoint`]'s `CacheRecord` impl), so a snapshot is about 16
-//! hex digits per trap and encodes and parses at memory speed, while the
-//! envelope stays an ordinary JSON document.
+//! hex digits per trap, while the envelope stays an ordinary JSON
+//! document.
+//!
+//! Both directions are table-driven. The packers write each `f64` as one
+//! word of eight digit pairs from `DIGIT_PAIRS` into a buffer and build
+//! the `String` once; the decoder looks every digit up in
+//! `NIBBLES`, ORs the results, and rejects a string with a non-digit
+//! once at the end. The three `u64` digests go through the same decoder,
+//! so each accepts exactly the 16 lowercase digits `u64_hex` writes. A
+//! save writes the same bytes the per-`char` encoder of the first
+//! version-3 release wrote (pinned by a document hash in the tests), so
+//! [`CHECKPOINT_VERSION`] stays 3 and older files keep loading.
 //!
 //! Storage uses [`ResultCache::store_record`]/[`ResultCache::load_record`] (the
 //! checkpoint-store entry points, not the memo table): a *head* record
@@ -129,10 +139,19 @@ impl FleetCheckpoint {
     }
 }
 
-/// Writes `fleet`'s snapshot and advances the head pointer. Returns the
-/// state digest the snapshot recorded, or `None` when the cache is
-/// disabled (nothing captured, nothing written).
-pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<u64> {
+/// What one [`save`] wrote.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Saved {
+    /// The state digest the snapshot recorded.
+    pub state_digest: u64,
+    /// Bytes published: the snapshot and the head record, or whichever
+    /// of them the store could write (0 when it could write neither).
+    pub bytes: u64,
+}
+
+/// Writes `fleet`'s snapshot and advances the head pointer. `None` when
+/// the cache is disabled (nothing captured, nothing written).
+pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<Saved> {
     if !cache.is_active() {
         return None;
     }
@@ -141,19 +160,24 @@ pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<u64> {
         epoch: snapshot.epoch,
         state_digest: snapshot.state_digest,
     };
-    cache.store_record(
-        CHECKPOINT_NAMESPACE,
-        CHECKPOINT_VERSION,
-        &snapshot_key(fleet.config(), head.epoch, head.state_digest),
-        &snapshot,
-    );
-    cache.store_record(
-        CHECKPOINT_NAMESPACE,
-        CHECKPOINT_VERSION,
-        &head_key(fleet.config()),
-        &head,
-    );
-    Some(head.state_digest)
+    let written = [
+        cache.store_record(
+            CHECKPOINT_NAMESPACE,
+            CHECKPOINT_VERSION,
+            &snapshot_key(fleet.config(), head.epoch, head.state_digest),
+            &snapshot,
+        ),
+        cache.store_record(
+            CHECKPOINT_NAMESPACE,
+            CHECKPOINT_VERSION,
+            &head_key(fleet.config()),
+            &head,
+        ),
+    ];
+    Some(Saved {
+        state_digest: head.state_digest,
+        bytes: written.into_iter().flatten().sum(),
+    })
 }
 
 /// Loads the newest snapshot for `config`, if one exists.
@@ -193,38 +217,68 @@ fn u64_hex(value: u64) -> Json {
     Json::String(format!("{value:016x}"))
 }
 
+/// The inverse of [`u64_hex`]: exactly 16 lowercase digits, big-endian.
 fn hex_u64(json: &Json) -> Option<u64> {
-    u64::from_str_radix(json.as_str()?, 16).ok()
+    Some(u64::from_be_bytes(unhex(json)?.try_into().ok()?))
 }
 
-/// Appends lowercase hex of `bytes`, two digits per byte.
-fn push_hex(out: &mut String, bytes: &[u8]) {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    for byte in bytes {
-        out.push(char::from(DIGITS[usize::from(byte >> 4)]));
-        out.push(char::from(DIGITS[usize::from(byte & 0xf)]));
+/// The lowercase hex digits.
+const DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Each byte's two hex digits, high digit first.
+const DIGIT_PAIRS: [[u8; 2]; 256] = {
+    let mut pairs = [[0; 2]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        pairs[byte] = [DIGITS[byte >> 4], DIGITS[byte & 0xf]];
+        byte += 1;
+    }
+    pairs
+};
+
+/// Each byte's value as a hex digit, or `0xff` for any byte that is not
+/// one of [`DIGITS`] (uppercase included: one value, one encoding).
+const NIBBLES: [u8; 256] = {
+    let mut nibbles = [0xff; 256];
+    let mut value = 0;
+    while value < 16 {
+        nibbles[DIGITS[value] as usize] = value as u8;
+        value += 1;
+    }
+    nibbles
+};
+
+/// The 16 hex digits of `word`'s little-endian bytes, as digit pairs.
+fn hex_word(word: u64) -> [[u8; 2]; 8] {
+    word.to_le_bytes()
+        .map(|byte| DIGIT_PAIRS[usize::from(byte)])
+}
+
+/// A packed string from the digit pairs the packers wrote.
+fn hex_string(pairs: Vec<[u8; 2]>) -> Json {
+    match String::from_utf8(pairs.into_flattened()) {
+        Ok(text) => Json::String(text),
+        Err(err) => panic!("hex digits are ASCII: {err}"),
     }
 }
 
-/// The bytes of a [`push_hex`] string; `None` on an odd length or any digit
-/// outside `0-9a-f` (uppercase included: one value, one encoding).
+/// The bytes of a packed string; `None` on an odd length or any digit
+/// outside `0-9a-f`. Each digit goes through [`NIBBLES`]; a bad one
+/// leaves its `0xff` in the running OR, checked once at the end.
 fn unhex(json: &Json) -> Option<Vec<u8>> {
-    fn nibble(digit: u8) -> Option<u8> {
-        match digit {
-            b'0'..=b'9' => Some(digit - b'0'),
-            b'a'..=b'f' => Some(digit - b'a' + 10),
-            _ => None,
-        }
-    }
-    let digits = json.as_str()?.as_bytes();
-    if digits.len() % 2 != 0 {
+    let (pairs, []) = json.as_str()?.as_bytes().as_chunks::<2>() else {
         return None;
-    }
-    let mut bytes = Vec::with_capacity(digits.len() / 2);
-    for pair in digits.chunks_exact(2) {
-        bytes.push(nibble(pair[0])? << 4 | nibble(pair[1])?);
-    }
-    Some(bytes)
+    };
+    let mut seen = 0;
+    let bytes = pairs
+        .iter()
+        .map(|&[high, low]| {
+            let (high, low) = (NIBBLES[usize::from(high)], NIBBLES[usize::from(low)]);
+            seen |= high | low;
+            high << 4 | low
+        })
+        .collect();
+    (seen < 16).then_some(bytes)
 }
 
 /// Reads the little-endian word at the front of `bytes`.
@@ -234,22 +288,21 @@ fn le_word(bytes: &[u8]) -> Option<u64> {
 
 /// `f64`s packed as their little-endian bit patterns.
 fn pack_f64s(values: &[f64]) -> Json {
-    let mut out = String::with_capacity(16 * values.len());
-    for value in values {
-        push_hex(&mut out, &value.to_bits().to_le_bytes());
-    }
-    Json::String(out)
+    let words: Vec<[[u8; 2]; 8]> = values.iter().map(|v| hex_word(v.to_bits())).collect();
+    hex_string(words.into_flattened())
 }
 
 fn unpack_f64s(json: &Json) -> Option<Vec<f64>> {
     let bytes = unhex(json)?;
-    if bytes.len() % 8 != 0 {
+    let (words, []) = bytes.as_chunks::<8>() else {
         return None;
-    }
-    bytes
-        .chunks_exact(8)
-        .map(|word| le_word(word).map(f64::from_bits))
-        .collect()
+    };
+    Some(
+        words
+            .iter()
+            .map(|&word| f64::from_bits(u64::from_le_bytes(word)))
+            .collect(),
+    )
 }
 
 /// Tier tags in the packed stream.
@@ -262,25 +315,25 @@ const TAG_COLD: u8 = 2;
 /// then the since and wake epochs (either may be `u64::MAX`, which no
 /// `f64` JSON number carries).
 fn pack_tiers(tiers: &[ChipTier]) -> Json {
-    let mut out = String::with_capacity(2 * tiers.len());
+    let mut pairs = Vec::with_capacity(tiers.len());
     for tier in tiers {
         match tier {
-            ChipTier::Hot => push_hex(&mut out, &[TAG_HOT]),
-            ChipTier::Pinned => push_hex(&mut out, &[TAG_PINNED]),
+            ChipTier::Hot => pairs.push(DIGIT_PAIRS[usize::from(TAG_HOT)]),
+            ChipTier::Pinned => pairs.push(DIGIT_PAIRS[usize::from(TAG_PINNED)]),
             ChipTier::Cold(cold) => {
-                push_hex(&mut out, &[TAG_COLD]);
+                pairs.push(DIGIT_PAIRS[usize::from(TAG_COLD)]);
                 for word in [
                     cold.anchor.get().to_bits(),
                     cold.rate_mv_per_s.to_bits(),
                     cold.since_epoch,
                     cold.wake_epoch,
                 ] {
-                    push_hex(&mut out, &word.to_le_bytes());
+                    pairs.extend(hex_word(word));
                 }
             }
         }
     }
-    Json::String(out)
+    hex_string(pairs)
 }
 
 /// Unpacks exactly `chips` tiers; `None` on an unknown tag, a truncated
@@ -441,10 +494,25 @@ mod tests {
         let config = tiny_config(5);
         let mut fleet = FleetState::build(config.clone());
         fleet.advance_epoch();
-        assert_eq!(save(&cache, &fleet), Some(fleet.state_digest()));
+        let first = save(&cache, &fleet).expect("an active cache saves");
+        assert_eq!(first.state_digest, fleet.state_digest());
+        // The byte count is the two files the save published.
+        let on_disk: u64 = [
+            snapshot_key(&config, 1, first.state_digest),
+            head_key(&config),
+        ]
+        .iter()
+        .map(|key| {
+            let path = cache.entry_path(CHECKPOINT_NAMESPACE, CHECKPOINT_VERSION, key);
+            std::fs::metadata(path).map_or(0, |meta| meta.len())
+        })
+        .sum();
+        assert!(on_disk > 0);
+        assert_eq!(first.bytes, on_disk);
+        let digest = |saved: Option<Saved>| saved.map(|saved| saved.state_digest);
         fleet.fold_report(0, DutyCycle::new(0.5));
         fleet.advance_epoch();
-        assert_eq!(save(&cache, &fleet), Some(fleet.state_digest()));
+        assert_eq!(digest(save(&cache, &fleet)), Some(fleet.state_digest()));
         let resumed = match resume(&cache, &config) {
             Some(fleet) => fleet,
             None => panic!("resume must find the saved head"),
@@ -517,6 +585,66 @@ mod tests {
         assert_eq!(reparsed.to_cache_json().render(), json.render());
     }
 
+    /// The pretty-rendered payload of a tiny tiered fleet's checkpoint,
+    /// with hot, pinned and cold chips and a cold record carrying a
+    /// negative-zero anchor, a subnormal rate and a sleep-forever wake,
+    /// hashed and compared with the hash of the bytes the version-3
+    /// encoder first wrote: any byte the packers move fails here.
+    #[test]
+    fn checkpoint_document_bytes_are_pinned() {
+        let mut snapshot = FleetCheckpoint::capture(&tiered_fleet(3));
+        snapshot.tiers[1][0] = ChipTier::Cold(ColdChip {
+            anchor: Millivolts::new(-0.0),
+            rate_mv_per_s: f64::from_bits(1),
+            since_epoch: 2,
+            wake_epoch: u64::MAX,
+        });
+        snapshot.tiers[1][1] = ChipTier::Hot;
+        let tiers = snapshot.tiers.concat();
+        assert!(tiers.contains(&ChipTier::Hot) && tiers.contains(&ChipTier::Pinned));
+        assert!(tiers.iter().any(|tier| matches!(tier, ChipTier::Cold(_))));
+        let text = snapshot.to_cache_json().render_pretty();
+        assert_eq!(
+            selfheal_telemetry::fnv1a(text.as_bytes()),
+            PINNED_DOCUMENT_FNV,
+            "{text}"
+        );
+    }
+
+    const PINNED_DOCUMENT_FNV: u64 = 0x50eb_eaf0_4e5a_4745;
+
+    /// A `f64` bit pattern: anything, or an exponent of all ones (the
+    /// infinities and every NaN payload).
+    fn any_bits() -> impl proptest::Strategy<Value = u64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            any::<u64>(),
+            any::<u64>().prop_map(|bits| bits | 0x7ff0_0000_0000_0000),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Each packed word is the value's bytes, least significant
+        /// first, as lowercase hex; and it unpacks to the same bits.
+        #[test]
+        fn packed_words_are_byte_swapped_hex(
+            bits in proptest::collection::vec(any_bits(), 0..40),
+        ) {
+            let values: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let packed = pack_f64s(&values);
+            let expected: String = bits.iter().map(|b| format!("{:016x}", b.swap_bytes())).collect();
+            proptest::prop_assert_eq!(packed.as_str(), Some(expected.as_str()));
+            let unpacked: Vec<u64> = unpack_f64s(&packed)
+                .expect("packed words unpack")
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            proptest::prop_assert_eq!(unpacked, bits);
+        }
+    }
+
     /// Stores any JSON value as a record (for planting payloads).
     struct Raw(Json);
 
@@ -543,6 +671,15 @@ mod tests {
                 let text = shards[shard].as_str().expect("packed shards are strings");
                 shards[shard] = Json::String(edit(text));
             }
+        }
+        payload
+    }
+
+    /// `payload` with the top-level `field` set to the string `text`.
+    fn with_field(payload: &Json, field: &str, text: &str) -> Json {
+        let mut payload = payload.clone();
+        if let Json::Object(map) = &mut payload {
+            map.insert(field.into(), Json::String(text.into()));
         }
         payload
     }
@@ -591,6 +728,21 @@ mod tests {
                 "trailing bytes",
                 edit_shard(&good, "tiers", 0, &|_| format!("{hot}0000")),
                 edit_shard(&good, "tiers", 0, &|_| format!("{hot}00")),
+            ),
+            (
+                "signed digest",
+                with_field(&good, "mutation_digest", "+00000000000000a"),
+                with_field(&good, "mutation_digest", "000000000000000a"),
+            ),
+            (
+                "uppercase digest",
+                with_field(&good, "state_digest", "00000000000000AB"),
+                with_field(&good, "state_digest", "00000000000000ab"),
+            ),
+            (
+                "short digest",
+                with_field(&good, "mutation_digest", "ab"),
+                with_field(&good, "mutation_digest", "00000000000000ab"),
             ),
         ];
         for (what, hostile, valid) in cases {

@@ -89,12 +89,7 @@ impl FleetDaemon {
             format!("epoch={epoch} sim_s={}", self.state.sim_time().get())
         });
         if self.checkpoint_every > 0 && epoch % self.checkpoint_every == 0 {
-            if let Some(digest) = checkpoint::save(&self.cache, &self.state) {
-                counter!("fleet.checkpoints", 1);
-                flight::record("checkpoint", "save", || {
-                    format!("epoch={epoch} digest={digest:016x}")
-                });
-            }
+            self.save_checkpoint();
         }
         #[allow(clippy::cast_precision_loss)]
         let epoch_f = epoch as f64;
@@ -114,7 +109,34 @@ impl FleetDaemon {
     /// Writes a final checkpoint (shutdown path). Returns `false` when
     /// the cache is disabled.
     pub fn final_checkpoint(&self) -> bool {
-        checkpoint::save(&self.cache, &self.state).is_some()
+        self.save_checkpoint()
+    }
+
+    /// Saves a checkpoint and publishes what it cost: gauges
+    /// `fleet.checkpoint.{ms,bytes}` and a flight record. `false` when
+    /// the cache is disabled.
+    fn save_checkpoint(&self) -> bool {
+        let started = selfheal_telemetry::trace_epoch_ns();
+        let Some(saved) = checkpoint::save(&self.cache, &self.state) else {
+            return false;
+        };
+        #[allow(clippy::cast_precision_loss)]
+        let ms = selfheal_telemetry::trace_epoch_ns().saturating_sub(started) as f64 / 1e6;
+        counter!("fleet.checkpoints", 1);
+        #[allow(clippy::cast_precision_loss)]
+        {
+            gauge!("fleet.checkpoint.ms", ms);
+            gauge!("fleet.checkpoint.bytes", saved.bytes as f64);
+        }
+        flight::record("checkpoint", "save", || {
+            format!(
+                "epoch={} digest={:016x} ms={ms:.1} bytes={}",
+                self.state.epoch(),
+                saved.state_digest,
+                saved.bytes
+            )
+        });
+        true
     }
 
     /// Answers one request against the live state.
@@ -397,6 +419,37 @@ mod tests {
         match daemon.handle(&Request::Stats) {
             Response::Stats(stats) => assert!(stats.mean_delta_vth.get() > 0.0),
             other => panic!("expected stats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn periodic_and_final_saves_record_their_cost() {
+        let store =
+            std::env::temp_dir().join(format!("selfheal-daemon-saves-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&store);
+        let mut daemon = FleetDaemon::new(
+            tiny_daemon().state().config().clone(),
+            ResultCache::at(store.clone()),
+            1,
+        );
+        daemon.advance_epoch();
+        assert!(daemon.final_checkpoint());
+        let _ = std::fs::remove_dir_all(&store);
+        // Both saves land at epoch 1 on the same state: one record each.
+        let digest = format!("epoch=1 digest={:016x} ", daemon.state().state_digest());
+        let saves: Vec<String> = flight::global()
+            .snapshot()
+            .into_iter()
+            .filter(|record| record.kind == "checkpoint" && record.detail.starts_with(&digest))
+            .map(|record| record.detail)
+            .collect();
+        assert_eq!(saves.len(), 2, "{saves:?}");
+        for detail in &saves {
+            let bytes = detail
+                .split(" bytes=")
+                .nth(1)
+                .and_then(|b| b.parse::<u64>().ok());
+            assert!(detail.contains(" ms=") && bytes > Some(0), "{detail}");
         }
     }
 

@@ -23,7 +23,7 @@
 //! Entries verify their stored namespace/version/key on read; a hash
 //! collision or truncated file degrades to a miss, never a wrong hit.
 
-use std::io::{BufWriter, Write};
+use std::io::{BufWriter, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -153,7 +153,7 @@ impl ResultCache {
             return (value, CacheOutcome::Hit);
         }
         let value = compute();
-        self.write_entry(&path, namespace, version, key, &value);
+        let _ = self.write_entry(&path, namespace, version, key, &value);
         if telemetry::metrics::enabled() {
             telemetry::metrics::counter_add("runtime.cache.misses", 1.0);
         }
@@ -170,12 +170,21 @@ impl ResultCache {
     /// history, not on the key alone, so the caller owns the
     /// write-then-read protocol. The write is atomic (sibling temp file
     /// + rename) and best-effort, exactly like memoized writes.
-    pub fn store_record<T: CacheRecord>(&self, namespace: &str, version: u32, key: &str, value: &T) {
+    ///
+    /// Returns the bytes of the published entry, or `None` when the
+    /// cache is disabled or the write failed.
+    pub fn store_record<T: CacheRecord>(
+        &self,
+        namespace: &str,
+        version: u32,
+        key: &str,
+        value: &T,
+    ) -> Option<u64> {
         if !self.is_active() {
-            return;
+            return None;
         }
         let path = self.entry_path(namespace, version, key);
-        self.write_entry(&path, namespace, version, key, value);
+        self.write_entry(&path, namespace, version, key, value)
     }
 
     /// Reads the entry stored under `(namespace, version, key)`, or
@@ -224,7 +233,8 @@ impl ResultCache {
     }
 
     /// Best-effort write: an unwritable cache directory (read-only CI,
-    /// full disk) silently degrades to compute-every-time.
+    /// full disk) silently degrades to compute-every-time. Returns the
+    /// bytes published, `None` when nothing was.
     fn write_entry<T: CacheRecord>(
         &self,
         path: &Path,
@@ -232,31 +242,33 @@ impl ResultCache {
         version: u32,
         key: &str,
         value: &T,
-    ) {
+    ) -> Option<u64> {
         let doc = Json::object(vec![
             ("namespace".to_string(), Json::String(namespace.to_string())),
             ("version".to_string(), Json::Number(f64::from(version))),
             ("key".to_string(), Json::String(key.to_string())),
             ("payload".to_string(), value.to_cache_json()),
         ]);
-        let Some(dir) = path.parent() else { return };
-        if std::fs::create_dir_all(dir).is_err() {
-            return;
-        }
+        let dir = path.parent()?;
+        std::fs::create_dir_all(dir).ok()?;
         // Atomic publish: stream the document into a sibling temp file,
         // then rename. A concurrent writer computing the same key writes
         // identical bytes, so last-rename-wins is harmless. The bytes are
-        // exactly `doc.render_pretty()`, never held in memory whole.
+        // exactly `doc.render_pretty()`, never held in memory whole; the
+        // file offset after the flush is their count.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         let written = std::fs::File::create(&tmp).and_then(|file| {
             let mut out = BufWriter::new(file);
             write!(out, "{doc:#}")?;
-            out.flush()
+            out.flush()?;
+            out.stream_position()
         });
-        if written.is_ok() {
-            let _ = std::fs::rename(&tmp, path);
-        } else {
-            let _ = std::fs::remove_file(&tmp);
+        match written {
+            Ok(bytes) => std::fs::rename(&tmp, path).ok().map(|()| bytes),
+            Err(_) => {
+                let _ = std::fs::remove_file(&tmp);
+                None
+            }
         }
     }
 }
@@ -337,15 +349,18 @@ mod tests {
             cache.load_record::<Vec<f64>>("ckpt", 1, "epoch=3"),
             Some(vec![1.0, 2.0])
         );
-        // A checkpoint store must overwrite, not memoize.
-        cache.store_record("ckpt", 1, "epoch=3", &vec![7.0]);
+        // A checkpoint store must overwrite, not memoize; the returned
+        // count is the published file's size.
+        let bytes = cache.store_record("ckpt", 1, "epoch=3", &vec![7.0]);
+        let path = cache.entry_path("ckpt", 1, "epoch=3");
+        assert_eq!(bytes, std::fs::metadata(path).ok().map(|meta| meta.len()));
         assert_eq!(
             cache.load_record::<Vec<f64>>("ckpt", 1, "epoch=3"),
             Some(vec![7.0])
         );
         // Disabled caches neither store nor read.
         let off = ResultCache::disabled();
-        off.store_record("ckpt", 1, "k", &vec![1.0]);
+        assert_eq!(off.store_record("ckpt", 1, "k", &vec![1.0]), None);
         assert_eq!(off.load_record::<Vec<f64>>("ckpt", 1, "k"), None);
     }
 

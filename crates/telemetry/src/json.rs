@@ -83,11 +83,36 @@ impl Json {
     }
 
     /// Renders with two-space indentation (the manifest file format).
+    /// The text is allocated once up front, sized from
+    /// [`min_len`](Json::min_len) plus an eighth for the indentation and
+    /// numbers it leaves out, so a checkpoint-sized document is never
+    /// copied by a growing buffer.
     #[must_use]
     pub fn render_pretty(&self) -> String {
-        let mut out = String::new();
+        let min_len = self.min_len();
+        let mut out = String::with_capacity(min_len + min_len / 8);
         let _ = self.render_into(&mut out, Some(2), 0);
         out
+    }
+
+    /// A lower bound on the rendered length in either layout: strings
+    /// and keys unescaped, a byte per scalar, no indentation.
+    fn min_len(&self) -> usize {
+        let commas = |n: usize| n.saturating_sub(1);
+        match self {
+            Json::Null | Json::Bool(_) | Json::Number(_) => 1,
+            Json::String(s) => s.len() + 2,
+            Json::Array(items) => {
+                2 + commas(items.len()) + items.iter().map(Json::min_len).sum::<usize>()
+            }
+            Json::Object(map) => {
+                2 + commas(map.len())
+                    + map
+                        .iter()
+                        .map(|(key, value)| key.len() + 3 + value.min_len())
+                        .sum::<usize>()
+            }
+        }
     }
 
     /// The one renderer behind [`render`](Json::render),
@@ -191,10 +216,46 @@ fn write_number(out: &mut impl fmt::Write, n: f64) -> fmt::Result {
 /// Writes a JSON string with the escapes the grammar requires. Every
 /// byte that needs one is ASCII, so the runs between them are copied
 /// whole and always split on character boundaries.
+///
+/// The scan tests 32-byte chunks at a time: a chunk with no `"`, `\` or
+/// control byte is skipped whole, and only the others go through the
+/// per-byte escaper. Checkpoint payloads are megabytes of hex digits, so
+/// nearly every chunk is clean.
 fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const CHUNK: usize = 32;
     out.write_char('"')?;
+    let (chunks, tail) = s.as_bytes().as_chunks::<CHUNK>();
     let mut run = 0;
-    for (i, byte) in s.bytes().enumerate() {
+    for (index, chunk) in chunks.iter().enumerate() {
+        // `|` rather than `any`: no early exit, so the test vectorises.
+        if chunk
+            .iter()
+            .fold(false, |dirty, &byte| dirty | needs_escape(byte))
+        {
+            escape_bytes(out, s, index * CHUNK, chunk, &mut run)?;
+        }
+    }
+    escape_bytes(out, s, chunks.len() * CHUNK, tail, &mut run)?;
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Whether `byte` must be escaped inside a JSON string.
+fn needs_escape(byte: u8) -> bool {
+    byte < 0x20 || byte == b'"' || byte == b'\\'
+}
+
+/// The per-byte escaper over `bytes`, which sit at offset `start` of
+/// `s`: writes the unescaped run `s[*run..]` up to each byte that needs
+/// an escape, then the escape, and moves `*run` past it.
+fn escape_bytes(
+    out: &mut impl fmt::Write,
+    s: &str,
+    start: usize,
+    bytes: &[u8],
+    run: &mut usize,
+) -> fmt::Result {
+    for (i, &byte) in (start..).zip(bytes) {
         let escape = match byte {
             b'"' => "\\\"",
             b'\\' => "\\\\",
@@ -205,16 +266,15 @@ fn write_string(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
             0..=0x1f => "",
             _ => continue,
         };
-        out.write_str(&s[run..i])?;
+        out.write_str(&s[*run..i])?;
         if escape.is_empty() {
             write!(out, "\\u{byte:04x}")?;
         } else {
             out.write_str(escape)?;
         }
-        run = i + 1;
+        *run = i + 1;
     }
-    out.write_str(&s[run..])?;
-    out.write_char('"')
+    Ok(())
 }
 
 /// A parse failure, with a byte offset into the input.
@@ -406,6 +466,21 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_len_is_a_lower_bound() {
+        for text in [
+            "null",
+            "[]",
+            "{}",
+            "[\"\"]",
+            r#"{"a": [1, "x\n", {"b": true}], "": "", "n": -1.5e300}"#,
+        ] {
+            let value = parse(text).expect("test value");
+            // Compact is the shorter layout.
+            assert!(value.min_len() <= value.render().len(), "{text}");
+        }
+    }
 
     #[test]
     fn renders_compact_and_sorted() {

@@ -1,7 +1,8 @@
 //! The JSON string codec: arbitrary Unicode round-trips through both
 //! renderers and the parser, the run-copying writer matches a
-//! character-at-a-time escaper byte for byte, and parsing a long string
-//! costs the same per byte as parsing a short one.
+//! character-at-a-time escaper byte for byte (escapes on its 32-byte
+//! chunk edges included), and parsing a long string costs the same per
+//! byte as parsing a short one.
 
 use std::time::Instant;
 
@@ -26,6 +27,32 @@ fn any_char() -> impl Strategy<Value = char> {
 
 fn any_string() -> impl Strategy<Value = String> {
     proptest::collection::vec(any_char(), 0..48).prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Byte offsets at and next to the writer's 32-byte chunk edges.
+const CHUNK_EDGES: [usize; 7] = [31, 32, 33, 63, 64, 95, 96];
+
+/// Escape-free ASCII strings of 0–200 bytes with a character that needs
+/// an escape at each chunk edge the mask selects (when the string
+/// reaches it): runs of clean chunks with dirty bytes on their borders.
+fn chunk_edge_string() -> impl Strategy<Value = String> {
+    let plain = prop_oneof![b'a'..=b'z', b'0'..=b'9', Just(b' ')];
+    let escaped = prop_oneof![Just(b'"'), Just(b'\\'), 0u8..0x20];
+    (
+        proptest::collection::vec(plain, 0..201),
+        proptest::collection::vec(escaped, CHUNK_EDGES.len()..CHUNK_EDGES.len() + 1),
+        0u8..1 << CHUNK_EDGES.len(),
+    )
+        .prop_map(|(mut bytes, escapes, mask)| {
+            for (bit, (&edge, escape)) in CHUNK_EDGES.iter().zip(escapes).enumerate() {
+                if mask >> bit & 1 == 1 {
+                    if let Some(byte) = bytes.get_mut(edge) {
+                        *byte = escape;
+                    }
+                }
+            }
+            String::from_utf8(bytes).expect("ASCII is UTF-8")
+        })
 }
 
 /// The grammar's escapes applied one character at a time: the reference
@@ -66,6 +93,11 @@ proptest! {
 
     #[test]
     fn run_copying_writer_matches_the_per_char_escaper(s in any_string()) {
+        prop_assert_eq!(Json::String(s.clone()).render(), escape_per_char(&s));
+    }
+
+    #[test]
+    fn chunked_scan_escapes_on_chunk_edges(s in chunk_edge_string()) {
         prop_assert_eq!(Json::String(s.clone()).render(), escape_per_char(&s));
     }
 }

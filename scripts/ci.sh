@@ -123,23 +123,31 @@ grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
 grep -q '^selfheal_fleet_epoch_decay_refresh_chips' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no decay-refresh counter" >&2; exit 1; }
+# The sampler's last tick follows the final save, so its cost is there.
+grep -q '^selfheal_fleet_checkpoint_bytes [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no checkpoint cost" >&2; exit 1; }
 # A stale status file (dead writer) must now fail the checker.
 touch -d '10 minutes ago' "$SMOKE_DIR/fleet.prom"
 if target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom" 2>/dev/null; then
     echo "selfheal-top --check --max-age accepted a stale status file" >&2; exit 1
 fi
 # The shutdown path dumps the flight ring: every line must be one JSON
-# event and the lifecycle records must bracket the requests.
+# event, the lifecycle records must bracket the requests, and the final
+# checkpoint save (written before the dump) must record its cost.
 python3 - "$SMOKE_DIR/fleet.flight.jsonl" <<'PY'
 import json, sys
-kinds = []
+events = []
 with open(sys.argv[1]) as fh:
     for line in fh:
-        kinds.append(json.loads(line)["kind"])
+        events.append(json.loads(line))
+kinds = [event["kind"] for event in events]
 assert kinds, "flight dump is empty"
 assert "lifecycle" in kinds, f"no lifecycle records in {set(kinds)}"
 assert "request" in kinds, f"no request records in {set(kinds)}"
-print(f"flight dump: {len(kinds)} parseable event(s)")
+saves = [event["detail"] for event in events if event["kind"] == "checkpoint"]
+assert saves, f"no checkpoint records in {set(kinds)}"
+assert all(" ms=" in d and " bytes=" in d for d in saves), f"checkpoint records lack ms/bytes: {saves}"
+print(f"flight dump: {len(kinds)} parseable event(s), last save: {saves[-1]}")
 PY
 # Merge the two trace halves: at least one rpc flow must span both pids.
 target/release/trace_merge --out "$SMOKE_DIR/fleet.merged.trace.json" \
