@@ -18,7 +18,11 @@
 //! bytes on disk (`*_checkpoint_{save_ms,resume_ms,bytes}_100000`), and
 //! times the full fleet's first epoch on its own
 //! (`full_first_epoch_ms_100000`): the one that fills every shard's decay
-//! cache, as after a build or a resume.
+//! cache, as after a build or a resume. It also times the full fleet's
+//! build (`full_build_ms_100000`) and, once every chip has reported a
+//! duty of its own, its steady-state epoch
+//! (`full_ms_per_epoch_reported_100000`): an epoch's cost must not grow
+//! with the report history.
 //!
 //! ```text
 //! cargo run -p selfheal-bench --release --bin tiered_fleet -- --json
@@ -26,10 +30,12 @@
 
 use std::time::Instant;
 
+use rand::Rng;
 use selfheal_bench::{fmt, BenchRun, Table};
 use selfheal_fleet::checkpoint;
 use selfheal_fleet::{FleetConfig, FleetState};
-use selfheal_runtime::ResultCache;
+use selfheal_runtime::{ResultCache, SeedSequence};
+use selfheal_units::DutyCycle;
 
 /// Fleet sizes swept, in chips.
 const SIZES: [usize; 2] = [100_000, 1_000_000];
@@ -43,6 +49,9 @@ const CHECKPOINT_CHIPS: usize = 100_000;
 const WARMUP_EPOCHS: u64 = 40;
 /// Epochs averaged for the quoted per-epoch time.
 const TIMED_EPOCHS: u64 = 8;
+/// Seed of the duties every chip reports before the reported-fleet
+/// epochs are timed.
+const REPORT_SEED: u64 = 17;
 
 fn fleet_config(chips: usize, tiered: bool) -> FleetConfig {
     let mut config = FleetConfig::default();
@@ -74,6 +83,26 @@ fn ms_per_epoch(state: &mut FleetState) -> (f64, f64) {
     (first_ms, per_epoch)
 }
 
+/// Steady-state epoch cost after every chip has reported a duty of its
+/// own (ms): the report history a long-lived fleet accumulates. One
+/// untimed epoch first refreshes every chip's decay block.
+#[allow(clippy::cast_precision_loss)]
+fn ms_per_epoch_reported(state: &mut FleetState) -> f64 {
+    let chips = state.config().chips;
+    let mut rng = SeedSequence::new(REPORT_SEED).rng(0);
+    for chip in 0..chips {
+        // A duty in the chip's own slice of [0, 1): no two chips share one.
+        let duty = (chip as f64 + rng.gen::<f64>()) / chips as f64;
+        assert!(state.fold_report(chip, DutyCycle::new(duty)));
+    }
+    state.advance_epoch();
+    let started = Instant::now();
+    for _ in 0..TIMED_EPOCHS {
+        state.advance_epoch();
+    }
+    started.elapsed().as_secs_f64() * 1e3 / TIMED_EPOCHS as f64
+}
+
 /// One checkpoint of an aged fleet: save and resume wall time (ms) and
 /// the bytes the store holds afterwards.
 struct CheckpointCost {
@@ -92,12 +121,11 @@ fn checkpoint_cost(state: &FleetState, tag: &str) -> CheckpointCost {
     let _ = std::fs::remove_dir_all(&store);
     let cache = ResultCache::at(store.clone());
     let started = Instant::now();
-    let saved = checkpoint::save(&cache, state).expect("the checkpoint store is active");
+    let saved = checkpoint::save(&cache, state).expect("the checkpoint store must be writable");
     let save_ms = started.elapsed().as_secs_f64() * 1e3;
     let started = Instant::now();
     let resumed = checkpoint::resume(&cache, state.config());
     let resume_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert!(saved.bytes > 0, "the checkpoint store must be writable");
     assert_eq!(
         resumed.map(|fleet| fleet.state_digest()),
         Some(saved.state_digest),
@@ -130,9 +158,18 @@ fn main() {
     for &chips in &SIZES {
         let phase = run.phase_named(format!("fleet_{chips}"));
 
+        let started = Instant::now();
         let mut full = FleetState::build(fleet_config(chips, false));
+        let build_ms = started.elapsed().as_secs_f64() * 1e3;
         let (full_first_ms, full_ms) = ms_per_epoch(&mut full);
         let full_cost = (chips == CHECKPOINT_CHIPS).then(|| checkpoint_cost(&full, "full"));
+        if chips == CHECKPOINT_CHIPS {
+            run.value(&format!("full_build_ms_{chips}"), build_ms);
+            run.value(
+                &format!("full_ms_per_epoch_reported_{chips}"),
+                ms_per_epoch_reported(&mut full),
+            );
+        }
         drop(full);
 
         let mut tiered = FleetState::build(fleet_config(chips, true));

@@ -111,33 +111,52 @@ impl TrapEnsemble {
     /// physics parameters are a programming error, not a runtime condition.
     #[must_use]
     pub fn sample<R: Rng + ?Sized>(params: &TrapEnsembleParams, rng: &mut R) -> Self {
+        let mut traps = Vec::new();
+        TrapEnsemble::sample_into(params, rng, &mut traps);
+        TrapEnsemble::from_traps(traps)
+    }
+
+    /// Draws one device's traps, exactly as [`sample`](Self::sample)
+    /// would, and appends them to `traps` instead of packing a bank.
+    /// A caller that concatenates many devices into one bank (a fleet
+    /// shard) draws them all into one vector and packs it once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params` fails [`TrapEnsembleParams::validate`].
+    pub fn sample_into<R: Rng + ?Sized>(
+        params: &TrapEnsembleParams,
+        rng: &mut R,
+        traps: &mut Vec<Trap>,
+    ) {
         if let Err(problem) = params.validate() {
             panic!("invalid trap ensemble parameters: {problem}");
         }
         let count = sample_poisson(params.mean_trap_count, rng);
-        // Draw into materialized traps first (preserving the historical
-        // per-trap RNG draw order), then pack into the bank.
-        let traps: Vec<Trap> = (0..count)
-            .map(|_| {
-                let (lo, hi) = params.log10_tau_c_range;
-                let log_tau_c = rng.gen_range(lo..hi);
-                let (rlo, rhi) = params.log10_tau_ratio_range;
-                let ratio = if rlo < rhi { rng.gen_range(rlo..rhi) } else { rlo };
-                let tau_c = 10f64.powf(log_tau_c);
-                let tau_e = 10f64.powf(log_tau_c + ratio);
-                // Exponential per-trap step via inverse CDF.
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                let step = -params.delta_vth_mean_mv.get() * u.ln();
-                let permanent = rng.gen_bool(params.permanent_fraction);
-                Trap::new(
-                    Seconds::new(tau_c),
-                    Seconds::new(tau_e),
-                    Millivolts::new(step),
-                    permanent,
-                )
-            })
-            .collect();
-        TrapEnsemble::from_traps(traps)
+        // The historical per-trap RNG draw order: τc, ratio, step,
+        // permanence.
+        traps.extend((0..count).map(|_| {
+            let (lo, hi) = params.log10_tau_c_range;
+            let log_tau_c = rng.gen_range(lo..hi);
+            let (rlo, rhi) = params.log10_tau_ratio_range;
+            let ratio = if rlo < rhi {
+                rng.gen_range(rlo..rhi)
+            } else {
+                rlo
+            };
+            let tau_c = 10f64.powf(log_tau_c);
+            let tau_e = 10f64.powf(log_tau_c + ratio);
+            // Exponential per-trap step via inverse CDF.
+            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+            let step = -params.delta_vth_mean_mv.get() * u.ln();
+            let permanent = rng.gen_bool(params.permanent_fraction);
+            Trap::new(
+                Seconds::new(tau_c),
+                Seconds::new(tau_e),
+                Millivolts::new(step),
+                permanent,
+            )
+        }));
     }
 
     /// An ensemble with no traps — an ideal, ageless device. Useful as a

@@ -15,7 +15,10 @@
 //! 2. [`PhaseRateCache`] memoizes `PhaseRates` across the handful of
 //!    distinct conditions a fan-out produces (stressed / recovering /
 //!    toggling devices under one environment), so higher layers can
-//!    share one evaluation across thousands of devices.
+//!    share one evaluation across thousands of devices. Where the
+//!    distinct duties are many (a fleet of chips, each at its reported
+//!    duty), [`EnvironmentRates`] evaluates the environment's factors
+//!    once and each duty then costs one `powf`.
 //! 3. [`TrapBank`] stores an ensemble's traps as flat arrays
 //!    (structure-of-arrays) with a tight, branch-light
 //!    [`advance_all`](TrapBank::advance_all) kernel and a fused
@@ -61,7 +64,7 @@ use selfheal_units::{Millivolts, Seconds};
 
 use crate::condition::DeviceCondition;
 
-use super::kinetics::{capture_rate_multiplier, emission_rate_multiplier};
+use super::kinetics::EnvironmentRates;
 use super::trap::Trap;
 
 /// Bump when the kernel's arithmetic or layout changes meaning.
@@ -116,13 +119,25 @@ pub struct PhaseRates {
 }
 
 impl PhaseRates {
-    /// Evaluates both rate multipliers for `cond`.
+    /// Evaluates both rate multipliers for `cond`. To price many duties
+    /// under one environment, evaluate its [`EnvironmentRates`] once
+    /// and call [`EnvironmentRates::rates`] per duty instead: the
+    /// multipliers are bit-identical.
     #[must_use]
     pub fn for_condition(cond: DeviceCondition) -> PhaseRates {
+        EnvironmentRates::for_condition(cond).rates(cond.stress_duty())
+    }
+
+    /// Assembles rates from multipliers [`EnvironmentRates`] evaluated.
+    pub(super) fn from_multipliers(
+        cond: DeviceCondition,
+        capture_mult: f64,
+        emission_mult: f64,
+    ) -> PhaseRates {
         PhaseRates {
             cond,
-            capture_mult: capture_rate_multiplier(cond),
-            emission_mult: emission_rate_multiplier(cond),
+            capture_mult,
+            emission_mult,
         }
     }
 
@@ -174,12 +189,17 @@ impl PhaseRates {
     }
 }
 
-/// A tiny memo table of [`PhaseRates`] keyed by condition.
+/// A tiny memo table of [`PhaseRates`] keyed by condition, for a
+/// handful of conditions.
 ///
-/// A chip-advance fans one environment out into at most a handful of
-/// distinct conditions (stressed, recovering, and a toggling duty or
-/// two), so a linear scan over a small vector beats any hashing —
+/// An FPGA element's advance fans one environment out into at most a
+/// handful of distinct conditions (stressed, recovering, and a toggling
+/// duty or two), so a linear scan over a small vector beats any hashing —
 /// especially since [`DeviceCondition`] carries floats and has no `Eq`.
+/// The scan is linear in the conditions seen, so it does not suit many
+/// distinct duties: a fleet, where every chip reports its own, evaluates
+/// [`EnvironmentRates`] once per epoch and derives each duty's rates
+/// from them instead.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseRateCache {
     entries: Vec<PhaseRates>,
@@ -824,6 +844,7 @@ impl ExactSizeIterator for TrapIter<'_> {}
 mod tests {
     use super::*;
     use crate::condition::Environment;
+    use crate::td::kinetics::{capture_rate_multiplier, emission_rate_multiplier};
     use selfheal_units::{Celsius, Millivolts, Volts};
 
     fn stress() -> DeviceCondition {

@@ -14,15 +14,146 @@
 //!   voltage (the paper's −0.3 V knob) and *suppressed* while the gate is
 //!   stressed (a filled channel keeps traps filled).
 
-use selfheal_units::Kelvin;
+use selfheal_units::{DutyCycle, Kelvin};
 
-use crate::condition::DeviceCondition;
+use crate::condition::{DeviceCondition, Environment};
 use crate::constants::{
     arrhenius_factor, reference_stress_voltage, AC_CAPTURE_RELIEF_EXPONENT,
     ACTIVATION_ENERGY_CAPTURE_EV, ACTIVATION_ENERGY_EMISSION_EV,
     FIELD_FACTOR_CAPTURE_PER_VOLT, FIELD_FACTOR_EMISSION_PER_VOLT,
     STRESS_EMISSION_SUPPRESSION_PER_VOLT,
 };
+
+use super::kernel::PhaseRates;
+
+/// The environment-only factors of both rate multipliers, evaluated
+/// once so that rates for any stress duty follow from one `powf` and a
+/// few multiplies.
+///
+/// Everything in the capture and emission multipliers except the duty
+/// cycle depends on the [`Environment`] alone: the two Arrhenius
+/// factors, the capture field factor, and the emission
+/// stress-suppression and recovery-boost factors. A caller that prices
+/// many duties under one environment — a fleet epoch, where every chip
+/// reports its own duty — evaluates those five `exp`s here once instead
+/// of once per duty.
+///
+/// There is one formula: [`capture_rate_multiplier`],
+/// [`emission_rate_multiplier`] and
+/// [`PhaseRates::for_condition`] all go through this type, keep the
+/// historical operation order (`duty^A · thermal · field` and
+/// `thermal · (stressed + recovering)`), and so return bit-identical
+/// multipliers whichever way they were reached.
+///
+/// # Examples
+///
+/// ```
+/// use selfheal_bti::td::{EnvironmentRates, PhaseRates};
+/// use selfheal_bti::{DeviceCondition, Environment};
+/// use selfheal_units::{Celsius, DutyCycle, Volts};
+///
+/// let env = Environment::new(Volts::new(1.2), Celsius::new(110.0));
+/// let factors = EnvironmentRates::new(env);
+/// let duty = DutyCycle::new(0.3);
+/// assert_eq!(
+///     factors.rates(duty),
+///     PhaseRates::for_condition(DeviceCondition::new(env, duty)),
+/// );
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnvironmentRates {
+    env: Environment,
+    /// Capture Arrhenius factor.
+    capture_thermal: f64,
+    /// Capture oxide-field factor, relative to the reference stress.
+    capture_field: f64,
+    /// Emission Arrhenius factor.
+    emission_thermal: f64,
+    /// Emission suppression while the gate is stressed (positive bias).
+    stress_suppression: f64,
+    /// Emission boost while the gate rests (negative bias).
+    recovery_boost: f64,
+}
+
+impl EnvironmentRates {
+    /// Evaluates every environment factor, so [`rates`](Self::rates)
+    /// serves any duty.
+    #[must_use]
+    pub fn new(env: Environment) -> EnvironmentRates {
+        EnvironmentRates::evaluate(env, true)
+    }
+
+    /// The factors `cond` reads and no others: an unstressed condition
+    /// never reads the three stress-side factors, so they are not
+    /// evaluated, and a single condition costs the same transcendental
+    /// calls as it always has. A NaN duty counts as stressed: the
+    /// capture guard (`duty <= 0`) lets it through to the factors.
+    #[must_use]
+    pub(crate) fn for_condition(cond: DeviceCondition) -> EnvironmentRates {
+        let duty = cond.stress_duty().get();
+        EnvironmentRates::evaluate(cond.env(), duty > 0.0 || duty.is_nan())
+    }
+
+    fn evaluate(env: Environment, stressed: bool) -> EnvironmentRates {
+        let v = env.supply().get();
+        let (capture_thermal, capture_field, stress_suppression) = if stressed {
+            let dv = env.supply() - reference_stress_voltage();
+            (
+                arrhenius_factor(env.temperature(), ACTIVATION_ENERGY_CAPTURE_EV),
+                (FIELD_FACTOR_CAPTURE_PER_VOLT * dv.get()).exp(),
+                (-STRESS_EMISSION_SUPPRESSION_PER_VOLT * v.max(0.0)).exp(),
+            )
+        } else {
+            // Never read: both multipliers skip their stressed terms at
+            // duty 0.
+            (0.0, 0.0, 0.0)
+        };
+        EnvironmentRates {
+            env,
+            capture_thermal,
+            capture_field,
+            emission_thermal: arrhenius_factor(env.temperature(), ACTIVATION_ENERGY_EMISSION_EV),
+            stress_suppression,
+            recovery_boost: (-FIELD_FACTOR_EMISSION_PER_VOLT * v.min(0.0)).exp(),
+        }
+    }
+
+    /// The capture multiplier at `duty` (see [`capture_rate_multiplier`]).
+    fn capture_multiplier(&self, duty: DutyCycle) -> f64 {
+        let duty = duty.get();
+        if duty <= 0.0 {
+            return 0.0;
+        }
+        // Sub-linear duty response: fast fragmentary stress windows rarely
+        // complete a capture (see AC_CAPTURE_RELIEF_EXPONENT).
+        duty.powf(AC_CAPTURE_RELIEF_EXPONENT) * self.capture_thermal * self.capture_field
+    }
+
+    /// The emission multiplier at `duty` (see [`emission_rate_multiplier`]).
+    fn emission_multiplier(&self, duty: DutyCycle) -> f64 {
+        let duty = duty.get();
+        // Split the interval: during the stressed fraction emission is
+        // field-suppressed; during the unstressed fraction a negative supply
+        // boosts it.
+        let stressed_part = if duty > 0.0 {
+            duty * self.stress_suppression
+        } else {
+            0.0
+        };
+        let recovering_part = (1.0 - duty) * self.recovery_boost;
+        self.emission_thermal * (stressed_part + recovering_part)
+    }
+
+    /// Both multipliers at `duty`, as the kernel consumes them.
+    #[must_use]
+    pub fn rates(&self, duty: DutyCycle) -> PhaseRates {
+        PhaseRates::from_multipliers(
+            DeviceCondition::new(self.env, duty),
+            self.capture_multiplier(duty),
+            self.emission_multiplier(duty),
+        )
+    }
+}
 
 /// Multiplier on a trap's tabulated capture rate `1/τc₀` under `cond`.
 ///
@@ -54,16 +185,7 @@ use crate::constants::{
 /// ```
 #[must_use]
 pub fn capture_rate_multiplier(cond: DeviceCondition) -> f64 {
-    let duty = cond.stress_duty().get();
-    if duty <= 0.0 {
-        return 0.0;
-    }
-    let thermal = arrhenius_factor(cond.env().temperature(), ACTIVATION_ENERGY_CAPTURE_EV);
-    let dv = cond.env().supply() - reference_stress_voltage();
-    let field = (FIELD_FACTOR_CAPTURE_PER_VOLT * dv.get()).exp();
-    // Sub-linear duty response: fast fragmentary stress windows rarely
-    // complete a capture (see AC_CAPTURE_RELIEF_EXPONENT).
-    duty.powf(AC_CAPTURE_RELIEF_EXPONENT) * thermal * field
+    EnvironmentRates::for_condition(cond).capture_multiplier(cond.stress_duty())
 }
 
 /// Multiplier on a trap's tabulated emission rate `1/τe₀` under `cond`.
@@ -77,19 +199,7 @@ pub fn capture_rate_multiplier(cond: DeviceCondition) -> f64 {
 /// multiplier is `1`.
 #[must_use]
 pub fn emission_rate_multiplier(cond: DeviceCondition) -> f64 {
-    let thermal = arrhenius_factor(cond.env().temperature(), ACTIVATION_ENERGY_EMISSION_EV);
-    let v = cond.env().supply().get();
-    let duty = cond.stress_duty().get();
-    // Split the interval: during the stressed fraction emission is
-    // field-suppressed; during the unstressed fraction a negative supply
-    // boosts it.
-    let stressed_part = if duty > 0.0 {
-        duty * (-STRESS_EMISSION_SUPPRESSION_PER_VOLT * v.max(0.0)).exp()
-    } else {
-        0.0
-    };
-    let recovering_part = (1.0 - duty) * (-FIELD_FACTOR_EMISSION_PER_VOLT * v.min(0.0)).exp();
-    thermal * (stressed_part + recovering_part)
+    EnvironmentRates::for_condition(cond).emission_multiplier(cond.stress_duty())
 }
 
 /// Effective occupancy relaxation parameters for a trap with tabulated
@@ -112,7 +222,7 @@ pub fn occupancy_relaxation(
     // Single arithmetic source: the kernel's hoisted rates perform the
     // identical `multiplier / tau` division, so scalar and bank paths
     // cannot drift apart.
-    super::kernel::PhaseRates::for_condition(cond).relaxation(tau_c0, tau_e0)
+    PhaseRates::for_condition(cond).relaxation(tau_c0, tau_e0)
 }
 
 /// Convenience: the Arrhenius emission speed-up between two temperatures,
@@ -127,8 +237,7 @@ pub fn emission_thermal_speedup(from: Kelvin, to: Kelvin) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::condition::Environment;
-    use selfheal_units::{Celsius, DutyCycle, Volts};
+    use selfheal_units::{Celsius, Volts};
 
     fn env(v: f64, t: f64) -> Environment {
         Environment::new(Volts::new(v), Celsius::new(t))
@@ -246,6 +355,79 @@ mod tests {
             Celsius::new(20.0).to_kelvin(),
         );
         assert!((s * inverse - 1.0).abs() < 1e-12);
+    }
+
+    /// The capture multiplier as written before the environment factors
+    /// were hoisted: the reference for operation order.
+    fn capture_as_written(cond: DeviceCondition) -> f64 {
+        let duty = cond.stress_duty().get();
+        if duty <= 0.0 {
+            return 0.0;
+        }
+        let thermal = arrhenius_factor(cond.env().temperature(), ACTIVATION_ENERGY_CAPTURE_EV);
+        let dv = cond.env().supply() - reference_stress_voltage();
+        let field = (FIELD_FACTOR_CAPTURE_PER_VOLT * dv.get()).exp();
+        duty.powf(AC_CAPTURE_RELIEF_EXPONENT) * thermal * field
+    }
+
+    /// The emission multiplier as written before the hoist.
+    fn emission_as_written(cond: DeviceCondition) -> f64 {
+        let thermal = arrhenius_factor(cond.env().temperature(), ACTIVATION_ENERGY_EMISSION_EV);
+        let v = cond.env().supply().get();
+        let duty = cond.stress_duty().get();
+        let stressed_part = if duty > 0.0 {
+            duty * (-STRESS_EMISSION_SUPPRESSION_PER_VOLT * v.max(0.0)).exp()
+        } else {
+            0.0
+        };
+        let recovering_part = (1.0 - duty) * (-FIELD_FACTOR_EMISSION_PER_VOLT * v.min(0.0)).exp();
+        thermal * (stressed_part + recovering_part)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Rates derived from one environment's hoisted factors equal the
+        /// per-condition evaluation and the formulas as first written, bit
+        /// for bit: multipliers and the relaxation of a trap under them.
+        #[test]
+        fn factored_rates_are_bit_identical(
+            supply in proptest::prop_oneof![
+                proptest::prelude::Just(0.0),
+                proptest::prelude::Just(-0.3),
+                -0.5f64..1.5,
+            ],
+            celsius in -269.0f64..150.0,
+            duty in proptest::prop_oneof![
+                proptest::prelude::Just(0.0),
+                proptest::prelude::Just(1.0),
+                proptest::prelude::Just(f64::from_bits(1)),
+                proptest::prelude::Just(f64::MIN_POSITIVE),
+                proptest::prelude::Just(1e-300),
+                0.0f64..1.0,
+            ],
+            tau_c0 in 1e-3f64..1e9,
+            tau_e0 in 1e-3f64..1e9,
+        ) {
+            let env = env(supply, celsius);
+            let duty = DutyCycle::new(duty);
+            let cond = DeviceCondition::new(env, duty);
+            let factored = EnvironmentRates::new(env).rates(duty);
+            let direct = PhaseRates::for_condition(cond);
+            proptest::prop_assert_eq!(factored.condition(), cond);
+            for (got, want) in [
+                (factored.capture_multiplier(), capture_as_written(cond)),
+                (direct.capture_multiplier(), capture_as_written(cond)),
+                (factored.emission_multiplier(), emission_as_written(cond)),
+                (direct.emission_multiplier(), emission_as_written(cond)),
+            ] {
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+            }
+            let (p_factored, tau_factored) = factored.relaxation(tau_c0, tau_e0);
+            let (p_direct, tau_direct) = direct.relaxation(tau_c0, tau_e0);
+            proptest::prop_assert_eq!(p_factored.to_bits(), p_direct.to_bits());
+            proptest::prop_assert_eq!(tau_factored.to_bits(), tau_direct.to_bits());
+        }
     }
 
     #[test]

@@ -28,6 +28,6 @@ pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
 pub use population::{advance_population, sample_population, sample_population_cached};
 pub use kinetics::{
     capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup,
-    occupancy_relaxation,
+    occupancy_relaxation, EnvironmentRates,
 };
 pub use trap::Trap;

@@ -144,13 +144,18 @@ impl FleetCheckpoint {
 pub struct Saved {
     /// The state digest the snapshot recorded.
     pub state_digest: u64,
-    /// Bytes published: the snapshot and the head record, or whichever
-    /// of them the store could write (0 when it could write neither).
+    /// Bytes published: the snapshot and the head record.
     pub bytes: u64,
 }
 
-/// Writes `fleet`'s snapshot and advances the head pointer. `None` when
-/// the cache is disabled (nothing captured, nothing written).
+/// Writes `fleet`'s snapshot and then advances the head pointer to it.
+/// `None` when the cache is disabled (nothing captured, nothing written)
+/// or when either record failed to publish.
+///
+/// The head is written only once the snapshot has landed, so a failed
+/// save (full disk, unwritable store) leaves the head naming the last
+/// snapshot that did: the next [`resume`] loads that one instead of
+/// finding a head whose snapshot is missing and starting over.
 pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<Saved> {
     if !cache.is_active() {
         return None;
@@ -160,23 +165,21 @@ pub fn save(cache: &ResultCache, fleet: &FleetState) -> Option<Saved> {
         epoch: snapshot.epoch,
         state_digest: snapshot.state_digest,
     };
-    let written = [
-        cache.store_record(
-            CHECKPOINT_NAMESPACE,
-            CHECKPOINT_VERSION,
-            &snapshot_key(fleet.config(), head.epoch, head.state_digest),
-            &snapshot,
-        ),
-        cache.store_record(
-            CHECKPOINT_NAMESPACE,
-            CHECKPOINT_VERSION,
-            &head_key(fleet.config()),
-            &head,
-        ),
-    ];
+    let snapshot_bytes = cache.store_record(
+        CHECKPOINT_NAMESPACE,
+        CHECKPOINT_VERSION,
+        &snapshot_key(fleet.config(), head.epoch, head.state_digest),
+        &snapshot,
+    )?;
+    let head_bytes = cache.store_record(
+        CHECKPOINT_NAMESPACE,
+        CHECKPOINT_VERSION,
+        &head_key(fleet.config()),
+        &head,
+    )?;
     Some(Saved {
         state_digest: head.state_digest,
-        bytes: written.into_iter().flatten().sum(),
+        bytes: snapshot_bytes + head_bytes,
     })
 }
 
@@ -523,6 +526,58 @@ mod tests {
         assert!(resume(&cache, &tiny_config(6)).is_none());
         // A disabled cache stores nothing.
         assert_eq!(save(&ResultCache::disabled(), &fleet), None);
+    }
+
+    #[test]
+    fn save_under_a_regular_file_reports_nothing_saved() {
+        let blocker = std::env::temp_dir().join(format!(
+            "selfheal-fleet-ckpt-blocker-{}",
+            std::process::id()
+        ));
+        std::fs::write(&blocker, b"not a directory").expect("temp dir is writable");
+        let cache = ResultCache::at(blocker.join("store"));
+        let mut fleet = FleetState::build(tiny_config(5));
+        fleet.advance_epoch();
+        assert_eq!(save(&cache, &fleet), None);
+        assert!(resume(&cache, fleet.config()).is_none());
+        let _ = std::fs::remove_file(&blocker);
+    }
+
+    #[test]
+    fn a_failed_snapshot_leaves_the_head_on_the_last_good_one() {
+        let cache = scratch_cache("failed-snapshot");
+        let config = tiny_config(5);
+        let mut fleet = FleetState::build(config.clone());
+        fleet.advance_epoch();
+        let good = save(&cache, &fleet).expect("an active cache saves");
+        let good_digest = fleet.state_digest();
+        fleet.fold_report(3, DutyCycle::new(0.2));
+        fleet.advance_epoch();
+        // A directory squatting on the next snapshot's entry path makes
+        // its rename fail.
+        let entry = cache.entry_path(
+            CHECKPOINT_NAMESPACE,
+            CHECKPOINT_VERSION,
+            &snapshot_key(&config, 2, fleet.state_digest()),
+        );
+        std::fs::create_dir_all(entry.join("occupied")).expect("the store is writable");
+        assert_eq!(save(&cache, &fleet), None);
+        let head: Option<CheckpointHead> =
+            cache.load_record(CHECKPOINT_NAMESPACE, CHECKPOINT_VERSION, &head_key(&config));
+        assert_eq!(
+            head.map(|head| (head.epoch, head.state_digest)),
+            Some((1, good.state_digest))
+        );
+        let resumed = resume(&cache, &config).expect("the last good checkpoint resumes");
+        assert_eq!(resumed.epoch(), 1);
+        assert_eq!(resumed.state_digest(), good_digest);
+        // The failed publish left no temp file behind.
+        let leftovers: Vec<_> = std::fs::read_dir(entry.parent().expect("entries live in a dir"))
+            .expect("the namespace dir exists")
+            .filter_map(Result::ok)
+            .filter(|file| file.file_name().to_string_lossy().contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "{leftovers:?}");
     }
 
     fn tiered_config(seed: u64) -> FleetConfig {

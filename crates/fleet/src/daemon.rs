@@ -107,14 +107,14 @@ impl FleetDaemon {
     }
 
     /// Writes a final checkpoint (shutdown path). Returns `false` when
-    /// the cache is disabled.
+    /// the cache is disabled or the checkpoint did not reach the store.
     pub fn final_checkpoint(&self) -> bool {
         self.save_checkpoint()
     }
 
     /// Saves a checkpoint and publishes what it cost: gauges
     /// `fleet.checkpoint.{ms,bytes}` and a flight record. `false` when
-    /// the cache is disabled.
+    /// the cache is disabled or the save failed.
     fn save_checkpoint(&self) -> bool {
         let started = selfheal_telemetry::trace_epoch_ns();
         let Some(saved) = checkpoint::save(&self.cache, &self.state) else {

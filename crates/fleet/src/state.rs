@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use selfheal_bti::td::{
-    ChipTier, PhaseRateCache, PhaseRates, TierCounts, TierPolicy, TrapBank, TrapEnsemble,
+    ChipTier, EnvironmentRates, PhaseRates, TierCounts, TierPolicy, TrapBank, TrapEnsemble,
 };
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
@@ -109,9 +109,11 @@ impl Shard {
     /// Samples a fresh shard: each chip draws its ensemble from its own
     /// `seeds.rng(local_index)` stream, so the shard's contents depend
     /// only on `(config.seed, shard_index, local_index)` — never on
-    /// execution order. The bank is built once at its exact final size:
-    /// growing it by pushes would leave up to half of every array as
-    /// spare capacity for the life of the fleet.
+    /// execution order. Every chip's traps are drawn straight into one
+    /// vector ([`TrapEnsemble::sample_into`]), with no per-chip bank in
+    /// between, and the bank is packed from it once at its exact final
+    /// size: growing it by pushes would leave up to half of every array
+    /// as spare capacity for the life of the fleet.
     #[must_use]
     pub fn sample(config: &FleetConfig, shard_index: usize, seeds: &SeedSequence) -> Shard {
         let chip_range = config.shard_chip_range(shard_index);
@@ -119,9 +121,8 @@ impl Shard {
         let mut chips = Vec::with_capacity(chip_range.len());
         for local in 0..chip_range.len() {
             let mut rng = seeds.rng(local as u64);
-            let ensemble = TrapEnsemble::sample(&config.trap_params, &mut rng);
             let start = traps.len();
-            traps.extend(ensemble.iter());
+            TrapEnsemble::sample_into(&config.trap_params, &mut rng, &mut traps);
             chips.push(ChipSlot {
                 traps: start..traps.len(),
                 duty: DutyCycle::default(),
@@ -139,15 +140,18 @@ impl Shard {
     /// Advances every chip in the shard by `dt` under its own observed
     /// duty cycle at the fleet's active environment, into epoch
     /// `epoch_end`, and returns how many chips' decay blocks it had to
-    /// recompute. A per-shard [`PhaseRateCache`] keeps the common case
-    /// (most chips still at the default duty) at one rate computation
-    /// per distinct condition.
+    /// recompute. The environment is fixed for the fleet's life, so its
+    /// factors ([`EnvironmentRates`]) are evaluated once per call and
+    /// each chip's rates follow from its duty with one `powf`: the cost
+    /// of an epoch does not grow with the number of distinct duties
+    /// chips have reported.
     ///
     /// Full-resolution chips advance from the shard's cached decays
     /// ([`TrapBank::advance_range_cached`]), so an epoch pays no `exp`
     /// except for chips whose duty changed since their block was
     /// computed (and every chip on the shard's first epoch). Untiered,
-    /// runs of consecutive same-duty chips advance as one range.
+    /// runs of consecutive same-duty chips advance as one range and
+    /// share one rate evaluation.
     ///
     /// With a [`TierPolicy`] in force, cold chips cost one integer
     /// comparison: their occupancies stay frozen until `epoch_end`
@@ -155,7 +159,8 @@ impl Shard {
     /// cold window replays as one fused
     /// [`advance_range`](TrapBank::advance_range) under the chip's
     /// (constant) condition. Hot chips that end the epoch outside the
-    /// guard band demote; pinned chips never do.
+    /// guard band demote; pinned chips never do. Consecutive hot, pinned
+    /// or waking chips at one duty share one rate evaluation.
     pub fn advance(
         &mut self,
         config: &FleetConfig,
@@ -163,7 +168,7 @@ impl Shard {
         epoch_end: u64,
         policy: Option<&TierPolicy>,
     ) -> usize {
-        let mut rates = PhaseRateCache::new();
+        let env = EnvironmentRates::new(config.active_env);
         let Shard {
             chips,
             bank,
@@ -183,7 +188,7 @@ impl Shard {
                         .iter()
                         .take_while(|chip| chip.duty.get().to_bits() == duty.get().to_bits())
                         .count();
-                let phase = rates.rates(DeviceCondition::new(config.active_env, duty));
+                let phase = env.rates(duty);
                 for (local, chip) in (start..end).zip(&chips[start..end]) {
                     refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
                 }
@@ -193,15 +198,22 @@ impl Shard {
             }
             return refreshed;
         };
+        let mut phase = env.rates(DutyCycle::default());
         for (local, chip) in chips.iter_mut().enumerate() {
             // The tier check comes first: at steady state almost every
             // chip is cold, and a cold epoch must stay at one integer
             // compare per chip — no condition or rate lookups.
+            if let ChipTier::Cold(cold) = &chip.tier {
+                if !policy.should_wake(cold, epoch_end) {
+                    continue;
+                }
+            }
+            if phase.condition().stress_duty().get().to_bits() != chip.duty.get().to_bits() {
+                phase = env.rates(chip.duty);
+            }
+            let cond = phase.condition();
             match &chip.tier {
                 ChipTier::Cold(cold) => {
-                    if !policy.should_wake(cold, epoch_end) {
-                        continue;
-                    }
                     // Rehydrate: replay the whole cold window in one
                     // fused step. The window's mean rate is already the
                     // upper bound demotion needs, so the chip can go
@@ -211,8 +223,6 @@ impl Shard {
                     let anchor = cold.anchor;
                     let window = epoch_end.saturating_sub(cold.since_epoch).max(1);
                     let elapsed = policy.cold_elapsed(cold, epoch_end);
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, elapsed);
                     let current = bank.summary_range(chip.traps.clone()).delta_vth;
                     chip.tier =
@@ -225,9 +235,7 @@ impl Shard {
                     // Demotion needs the chip's observed per-epoch
                     // rate, so bracket the advance with two summary
                     // scans.
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let previous = bank.summary_range(chip.traps.clone()).delta_vth;
-                    let phase = rates.rates(cond);
                     refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
                     let traps = chip.traps.clone();
                     bank.advance_range_cached(traps.clone(), &phase, &decays.decay[traps]);
@@ -238,8 +246,6 @@ impl Shard {
                     }
                 }
                 ChipTier::Pinned => {
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let phase = rates.rates(cond);
                     refreshed += usize::from(decays.refresh(bank, local, chip, &phase, dt));
                     let traps = chip.traps.clone();
                     bank.advance_range_cached(traps.clone(), &phase, &decays.decay[traps]);
@@ -825,58 +831,93 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
 
-        /// Cached epochs with report churn (duty 0 included) and a
-        /// checkpoint save → resume halfway land on the same state digest
-        /// as the uncached reference, tiered and untiered.
+        /// Cached epochs with report churn (duty 0 included), one epoch
+        /// at which every chip reports a duty of its own, and a
+        /// checkpoint save → resume halfway land on the same state
+        /// digest as the uncached reference, tiered and untiered.
         #[test]
-        fn cached_epochs_match_the_uncached_reference(
-            seed in 0u64..1_000_000,
-            tiered in 0usize..2,
-        ) {
+        fn cached_epochs_match_the_uncached_reference(seed in 0u64..1_000_000) {
             use rand::Rng;
             const EPOCHS: u64 = 30;
-            let mut config = FleetConfig::default();
-            config.chips = 3_000;
-            config.shards = 5;
-            config.seed = seed;
-            config.trap_params.mean_trap_count = 8.0;
-            config.tiered = tiered == 1;
-            config.guard_band = Millivolts::new(10.0);
-            let mut cached = FleetState::build(config.clone());
-            let mut reference = FleetState::build(config.clone());
-            let reports = SeedSequence::new(seed ^ 0x5eed);
-            let store = std::env::temp_dir().join(format!(
-                "selfheal-fleet-decay-{}-{seed}-{tiered}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&store);
-            let cache = selfheal_runtime::ResultCache::at(store.clone());
-            for epoch in 0..EPOCHS {
-                let mut rng = reports.rng(epoch);
-                for _ in 0..rng.gen_range(0..40) {
-                    let chip = rng.gen_range(0..config.chips);
-                    let duty = match rng.gen_range(0..4) {
-                        0 => 0.0,
-                        1 => 1.0,
-                        _ => rng.gen_range(0.0..1.0),
-                    };
-                    cached.fold_report(chip, DutyCycle::new(duty));
-                    reference.fold_report(chip, DutyCycle::new(duty));
+            for tiered in [false, true] {
+                let mut config = FleetConfig::default();
+                config.chips = 3_000;
+                config.shards = 5;
+                config.seed = seed;
+                config.trap_params.mean_trap_count = 8.0;
+                config.tiered = tiered;
+                config.guard_band = Millivolts::new(10.0);
+                let mut cached = FleetState::build(config.clone());
+                let mut reference = FleetState::build(config.clone());
+                let reports = SeedSequence::new(seed ^ 0x5eed);
+                let store = std::env::temp_dir().join(format!(
+                    "selfheal-fleet-decay-{}-{seed}-{tiered}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&store);
+                let cache = selfheal_runtime::ResultCache::at(store.clone());
+                for epoch in 0..EPOCHS {
+                    let mut rng = reports.rng(epoch);
+                    for _ in 0..rng.gen_range(0..40) {
+                        let chip = rng.gen_range(0..config.chips);
+                        let duty = match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => 1.0,
+                            _ => rng.gen_range(0.0..1.0),
+                        };
+                        cached.fold_report(chip, DutyCycle::new(duty));
+                        reference.fold_report(chip, DutyCycle::new(duty));
+                    }
+                    if epoch == EPOCHS / 3 {
+                        // Every chip at a duty no other chip holds: one
+                        // rate evaluation per chip, no shared runs.
+                        #[allow(clippy::cast_precision_loss)]
+                        for chip in 0..config.chips {
+                            let duty = (chip as f64 + rng.gen::<f64>()) / config.chips as f64;
+                            cached.fold_report(chip, DutyCycle::new(duty));
+                            reference.fold_report(chip, DutyCycle::new(duty));
+                        }
+                    }
+                    cached.advance_epoch();
+                    advance_epoch_uncached(&mut reference);
+                    if epoch == EPOCHS / 2 {
+                        let saved = crate::checkpoint::save(&cache, &cached);
+                        cached = crate::checkpoint::resume(&cache, &config)
+                            .expect("the checkpoint just saved resumes");
+                        proptest::prop_assert_eq!(
+                            saved.map(|saved| saved.state_digest),
+                            Some(cached.state_digest())
+                        );
+                    }
                 }
-                cached.advance_epoch();
-                advance_epoch_uncached(&mut reference);
-                if epoch == EPOCHS / 2 {
-                    let saved = crate::checkpoint::save(&cache, &cached);
-                    cached = crate::checkpoint::resume(&cache, &config)
-                        .expect("the checkpoint just saved resumes");
-                    proptest::prop_assert_eq!(
-                        saved.map(|saved| saved.state_digest),
-                        Some(cached.state_digest())
-                    );
-                }
+                let _ = std::fs::remove_dir_all(&store);
+                proptest::prop_assert_eq!(cached.state_digest(), reference.state_digest());
             }
-            let _ = std::fs::remove_dir_all(&store);
-            proptest::prop_assert_eq!(cached.state_digest(), reference.state_digest());
+        }
+    }
+
+    /// A shard drawn straight into one trap vector holds the very bank
+    /// the per-chip-ensemble path built: each chip sampled into its own
+    /// `TrapEnsemble`, its traps copied back out and packed again.
+    #[test]
+    fn single_pass_sampling_matches_per_chip_ensembles() {
+        let mut config = tiny_config();
+        config.chips = 40;
+        config.shards = 2;
+        let seeds = SeedSequence::new(config.seed);
+        for index in 0..config.shards {
+            let shard_seeds = seeds.child(index as u64);
+            let shard = Shard::sample(&config, index, &shard_seeds);
+            let mut traps = Vec::new();
+            for local in 0..config.shard_chip_range(index).len() {
+                let mut rng = shard_seeds.rng(local as u64);
+                let ensemble = TrapEnsemble::sample(&config.trap_params, &mut rng);
+                let start = traps.len();
+                traps.extend(ensemble.iter());
+                assert_eq!(shard.chips[local].traps, start..traps.len());
+            }
+            assert!(traps.iter().any(|trap| trap.is_permanent()));
+            assert_eq!(shard.bank, TrapBank::from_traps(&traps));
         }
     }
 

@@ -263,13 +263,13 @@ impl ResultCache {
             out.flush()?;
             out.stream_position()
         });
-        match written {
-            Ok(bytes) => std::fs::rename(&tmp, path).ok().map(|()| bytes),
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-                None
-            }
+        // A failed write or rename leaves the temp file behind; remove it
+        // so failures do not pile up in the store.
+        let published = written.and_then(|bytes| std::fs::rename(&tmp, path).map(|()| bytes));
+        if published.is_err() {
+            let _ = std::fs::remove_file(&tmp);
         }
+        published.ok()
     }
 }
 

@@ -167,6 +167,16 @@ CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.json' | wc -l)
 [ "$CKPTS" -ge 2 ] || { echo "no final checkpoint written (found $CKPTS cache files)" >&2; exit 1; }
 echo "fleet smoke: clean shutdown, $CKPTS checkpoint file(s)" >&2
 
+echo "== fleetd unwritable checkpoint store" >&2
+# A store under a regular file cannot hold a checkpoint: the daemon must
+# report that its final save did not land instead of claiming it did.
+touch "$SMOKE_DIR/file"
+target/release/fleetd --chips 64 --shards 2 --workers 1 --max-epochs 0 \
+    --cache-dir "$SMOKE_DIR/file/sub" > "$SMOKE_DIR/unwritable.log" 2>&1
+grep -q 'checkpointed: false' "$SMOKE_DIR/unwritable.log" \
+    || { echo "fleetd claimed a checkpoint it could not write" >&2; \
+         cat "$SMOKE_DIR/unwritable.log" >&2; exit 1; }
+
 echo "== tiered fleet smoke" >&2
 # The tiered integrator end to end: a --tiered daemon serves every
 # request type, checkpoints carry per-chip tier state, and a kill -9
